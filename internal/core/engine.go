@@ -131,11 +131,14 @@ type DataPlane struct {
 	metrics *Metrics
 }
 
-// dupGroup tracks the outstanding copies of one duplicated packet.
+// dupGroup tracks the outstanding copies of one duplicated packet. copies
+// views inline unless the fan-out exceeds it, so the common path counts
+// cost one allocation for the whole group.
 type dupGroup struct {
 	remaining int
 	won       bool
 	copies    []*packet.Packet
+	inline    [4]*packet.Packet
 }
 
 // New builds a data plane on simulator s delivering in-order packets to
@@ -361,12 +364,15 @@ func (dp *DataPlane) Ingress(p *packet.Packet) {
 	// Duplication: the original plus clones, grouped for first-wins.
 	group := &dupGroup{remaining: len(idxs)}
 	dp.dups[p.OrigID] = group
-	copies := make([]*packet.Packet, len(idxs))
-	copies[0] = p
+	copies := group.inline[:0]
+	if len(idxs) > len(group.inline) {
+		copies = make([]*packet.Packet, 0, len(idxs))
+	}
+	copies = append(copies, p)
 	p.IsDup = true
 	for j := 1; j < len(idxs); j++ {
 		dp.idGen++
-		copies[j] = p.Clone(dp.idGen)
+		copies = append(copies, p.Clone(dp.idGen))
 	}
 	group.copies = copies
 	for j := 1; j < len(copies); j++ {

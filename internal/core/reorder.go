@@ -59,9 +59,16 @@ type pendingPkt struct {
 }
 
 type flowOrder struct {
+	r       *Reorder
 	next    uint64 // lowest sequence not yet released
 	pending map[uint64]pendingPkt
-	timer   *sim.Event // gap timer, armed while pending is non-empty
+	timer   sim.Handle // gap timer, armed while pending is non-empty
+}
+
+// Fire is the flow's gap timer expiring.
+func (f *flowOrder) Fire() {
+	f.timer = sim.Handle{}
+	f.r.onTimeout(f)
 }
 
 // NewReorder builds the stage. timeout <= 0 disables gap timeouts (wait
@@ -96,7 +103,7 @@ func (r *Reorder) emit(kind obs.Kind, p *packet.Packet, a, b int64) {
 func (r *Reorder) flow(id uint64) *flowOrder {
 	f, ok := r.flows[id]
 	if !ok {
-		f = &flowOrder{pending: make(map[uint64]pendingPkt)}
+		f = &flowOrder{r: r, pending: make(map[uint64]pendingPkt)}
 		r.flows[id] = f
 	}
 	return f
@@ -197,10 +204,8 @@ func (r *Reorder) drain(f *flowOrder) {
 		}
 	}
 	if len(f.pending) == 0 {
-		if f.timer != nil {
-			f.timer.Cancel()
-			f.timer = nil
-		}
+		r.sim.Cancel(f.timer)
+		f.timer = sim.Handle{}
 	} else {
 		r.armTimer(f)
 	}
@@ -208,7 +213,7 @@ func (r *Reorder) drain(f *flowOrder) {
 
 // armTimer arms the flow's gap timer for its oldest pending entry.
 func (r *Reorder) armTimer(f *flowOrder) {
-	if r.timeout <= 0 || f.timer != nil || len(f.pending) == 0 {
+	if r.timeout <= 0 || !f.timer.IsZero() || len(f.pending) == 0 {
 		return
 	}
 	oldest := r.oldestPending(f)
@@ -216,10 +221,7 @@ func (r *Reorder) armTimer(f *flowOrder) {
 	if fireIn < 1 {
 		fireIn = 1
 	}
-	f.timer = r.sim.Schedule(fireIn, func() {
-		f.timer = nil
-		r.onTimeout(f)
-	})
+	f.timer = r.sim.ScheduleHandler(fireIn, f)
 }
 
 func (r *Reorder) oldestPending(f *flowOrder) sim.Time {
@@ -318,10 +320,8 @@ func (r *Reorder) Flush() {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		f := r.flows[id]
-		if f.timer != nil {
-			f.timer.Cancel()
-			f.timer = nil
-		}
+		r.sim.Cancel(f.timer)
+		f.timer = sim.Handle{}
 		for len(f.pending) > 0 {
 			min := ^uint64(0)
 			for seq := range f.pending {

@@ -20,6 +20,14 @@ type BuildOpts struct {
 
 // BuildUDP constructs a complete Ethernet+IPv4+UDP frame carrying payload.
 func BuildUDP(key FlowKey, payload []byte, opts BuildOpts) []byte {
+	buf := BuildUDPZero(key, len(payload), opts)
+	copy(buf[len(buf)-len(payload):], payload)
+	return buf
+}
+
+// BuildUDPZero constructs the frame BuildUDP would for an all-zero payload
+// of payloadLen bytes, in a single allocation.
+func BuildUDPZero(key FlowKey, payloadLen int, opts BuildOpts) []byte {
 	if key.Proto == 0 {
 		key.Proto = ProtoUDP
 	}
@@ -28,7 +36,7 @@ func BuildUDP(key FlowKey, payload []byte, opts BuildOpts) []byte {
 	}
 	eth := ethFromOpts(opts)
 	ethLen := eth.HeaderLen()
-	totalIP := IPv4HeaderLen + UDPHeaderLen + len(payload)
+	totalIP := IPv4HeaderLen + UDPHeaderLen + payloadLen
 	buf := make([]byte, ethLen+totalIP)
 	eth.Encode(buf)
 
@@ -41,10 +49,9 @@ func BuildUDP(key FlowKey, payload []byte, opts BuildOpts) []byte {
 
 	udp := UDP{
 		SrcPort: key.SrcPort, DstPort: key.DstPort,
-		Length: uint16(UDPHeaderLen + len(payload)),
+		Length: uint16(UDPHeaderLen + payloadLen),
 	}
 	udp.Encode(buf[ethLen+IPv4HeaderLen:])
-	copy(buf[ethLen+IPv4HeaderLen+UDPHeaderLen:], payload)
 	return buf
 }
 

@@ -245,6 +245,21 @@ func TestBuildUDPParses(t *testing.T) {
 	}
 }
 
+// BuildUDPZero is BuildUDP with a zero payload, byte for byte, in one
+// allocation.
+func TestBuildUDPZeroMatchesBuildUDP(t *testing.T) {
+	key := FlowKey{SrcIP: IP4(10, 0, 0, 1), DstIP: IP4(10, 0, 0, 2), SrcPort: 5555, DstPort: 80}
+	for _, n := range []int{0, 18, 1000} {
+		opts := BuildOpts{VLANID: uint16(n), TOS: 4, Ident: 7}
+		if !bytes.Equal(BuildUDPZero(key, n, opts), BuildUDP(key, make([]byte, n), opts)) {
+			t.Fatalf("payload %d: frames differ", n)
+		}
+		if a := testing.AllocsPerRun(10, func() { BuildUDPZero(key, n, opts) }); a != 1 {
+			t.Fatalf("payload %d: %v allocations, want 1", n, a)
+		}
+	}
+}
+
 func TestBuildTCPParses(t *testing.T) {
 	key := FlowKey{
 		SrcIP: IP4(192, 168, 1, 5), DstIP: IP4(8, 8, 8, 8),

@@ -84,35 +84,43 @@ func TestCancel(t *testing.T) {
 	s := New()
 	fired := false
 	e := s.Schedule(10, func() { fired = true })
-	e.Cancel()
+	if !s.Cancel(e) {
+		t.Fatal("Cancel of a pending event reported false")
+	}
 	s.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if s.Cancel(e) {
+		t.Fatal("Cancel reported true for an already-cancelled event")
 	}
 }
 
 func TestCancelIsIdempotent(t *testing.T) {
 	s := New()
 	e := s.Schedule(10, func() {})
-	e.Cancel()
-	e.Cancel() // must not panic
-	var nilEv *Event
-	nilEv.Cancel() // nil-safe
+	s.Cancel(e)
+	if s.Cancel(e) { // must not panic
+		t.Fatal("second Cancel reported true")
+	}
+	if s.Cancel(Handle{}) { // the zero Handle is safe
+		t.Fatal("Cancel of the zero Handle reported true")
+	}
+	if !(Handle{}).IsZero() || e.IsZero() {
+		t.Fatal("IsZero wrong")
+	}
 	s.Run()
 }
 
 func TestCancelOneOfMany(t *testing.T) {
 	s := New()
 	var fired []int
-	evs := make([]*Event, 5)
+	evs := make([]Handle, 5)
 	for i := 0; i < 5; i++ {
 		i := i
 		evs[i] = s.Schedule(Duration(i+1), func() { fired = append(fired, i) })
 	}
-	evs[2].Cancel()
+	s.Cancel(evs[2])
 	s.Run()
 	want := []int{0, 1, 3, 4}
 	if len(fired) != len(want) {
@@ -123,6 +131,49 @@ func TestCancelOneOfMany(t *testing.T) {
 			t.Fatalf("fired %v, want %v", fired, want)
 		}
 	}
+}
+
+// A handle kept past its event must not reach the slot's next occupant.
+func TestCancelStaleHandle(t *testing.T) {
+	s := New()
+	first := s.Schedule(1, func() {})
+	s.Run()
+	fired := false
+	second := s.Schedule(1, func() { fired = true })
+	if second.slot != first.slot {
+		t.Fatalf("slot not reused: %d then %d", first.slot, second.slot)
+	}
+	if s.Cancel(first) {
+		t.Fatal("Cancel through a fired event's handle reported true")
+	}
+	s.Run()
+	if !fired {
+		t.Fatal("stale Cancel suppressed the slot's new occupant")
+	}
+}
+
+type countHandler struct{ n int }
+
+func (c *countHandler) Fire() { c.n++ }
+
+func TestScheduleHandler(t *testing.T) {
+	s := New()
+	c := &countHandler{}
+	s.ScheduleHandler(5, c)
+	s.ScheduleHandler(7, c)
+	s.Run()
+	if c.n != 2 || s.Now() != 7 || s.Fired() != 2 {
+		t.Fatalf("handler fired %d times, clock %v, Fired %d", c.n, s.Now(), s.Fired())
+	}
+}
+
+func TestNilHandlerPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("nil handler did not panic")
+		}
+	}()
+	New().ScheduleHandler(1, nil)
 }
 
 func TestEventSchedulesEvent(t *testing.T) {
@@ -190,8 +241,7 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	if s.Step() {
 		t.Fatal("Step on empty queue returned true")
 	}
-	e := s.Schedule(1, func() {})
-	e.Cancel()
+	s.Cancel(s.Schedule(1, func() {}))
 	if s.Step() {
 		t.Fatal("Step with only cancelled events returned true")
 	}
@@ -289,7 +339,9 @@ func TestTickerZeroPeriodPanics(t *testing.T) {
 	NewTicker(New(), 0, func(Time) {})
 }
 
-// Property: any batch of scheduled delays fires in non-decreasing time order.
+// Property: any batch of scheduled delays fires in non-decreasing time order,
+// and any interleaving of schedules, cancels and steps fires exactly the
+// reference (time, seq) order of the events left uncancelled.
 func TestQuickEventOrdering(t *testing.T) {
 	f := func(delays []uint16) bool {
 		s := New()
@@ -308,9 +360,34 @@ func TestQuickEventOrdering(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+	stale := 0
+	g := func(ops []uint16) bool {
+		r := runCancelProgram(ops)
+		stale += r.staleReused
+		if r.err != "" {
+			t.Log(r.err)
+			return false
+		}
+		if len(r.fired) != len(r.want) {
+			return false
+		}
+		for i := range r.want {
+			if r.fired[i] != r.want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(g, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if stale == 0 {
+		t.Fatal("no program cancelled through a handle whose slot was reused")
+	}
 }
 
-// Property: heap never loses events — fired count equals scheduled count.
+// Property: heap never loses events — fired count equals scheduled count,
+// less the events a cancel really removed.
 func TestQuickNoEventLoss(t *testing.T) {
 	f := func(delays []uint8) bool {
 		s := New()
@@ -324,6 +401,89 @@ func TestQuickNoEventLoss(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+	g := func(ops []uint16) bool {
+		r := runCancelProgram(ops)
+		return r.err == "" && len(r.fired) == r.scheduled-r.cancelled
+	}
+	if err := quick.Check(g, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+type cancelProgramResult struct {
+	fired, want          []int // event ids in firing order: simulator, reference
+	scheduled, cancelled int
+	staleReused          int // cancels through a handle whose slot had a newer event
+	err                  string
+}
+
+// runCancelProgram interprets ops as a random program of schedules, cancels
+// (of any earlier handle: pending, cancelled, fired, or one whose slot has
+// since been reused) and single steps, on the simulator and on a reference
+// model that fires the earliest uncancelled (time, seq) event. The run ends
+// by draining both.
+func runCancelProgram(ops []uint16) cancelProgramResult {
+	type refEvent struct {
+		at     Time
+		live   bool
+		handle Handle
+	}
+	var r cancelProgramResult
+	s := New()
+	var ref []refEvent // index = id = seq
+	refStep := func() {
+		best := -1
+		for i, e := range ref {
+			if e.live && (best < 0 || e.at < ref[best].at) {
+				best = i
+			}
+		}
+		if best >= 0 {
+			ref[best].live = false
+			r.want = append(r.want, best)
+		}
+	}
+	for _, op := range ops {
+		arg := int(op >> 2)
+		switch op & 3 {
+		case 0, 1:
+			id := len(ref)
+			h := s.Schedule(Duration(arg%64), func() { r.fired = append(r.fired, id) })
+			ref = append(ref, refEvent{at: s.Now() + Duration(arg%64), live: true, handle: h})
+			r.scheduled++
+		case 2:
+			if len(ref) == 0 {
+				continue
+			}
+			e := &ref[arg%len(ref)]
+			reused := false
+			for _, o := range ref {
+				if o.handle.slot == e.handle.slot && o.handle.gen != e.handle.gen && o.live {
+					reused = true
+				}
+			}
+			if reused {
+				r.staleReused++
+			}
+			got := s.Cancel(e.handle)
+			if got != e.live {
+				r.err = "Cancel result disagrees with the reference"
+				return r
+			}
+			if got {
+				e.live = false
+				r.cancelled++
+			}
+		case 3:
+			s.Step()
+			refStep()
+		}
+	}
+	s.Run()
+	for len(r.want) < r.scheduled-r.cancelled {
+		refStep()
+	}
+	return r
 }
 
 func BenchmarkScheduleAndRun(b *testing.B) {
@@ -337,13 +497,57 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	s.Run()
 }
 
+// BenchmarkHeap10k fills the heap with 10k handler events in scrambled
+// time order and drains it, on one simulator whose slab and heap stay at
+// their 10k peak after the warm-up round: an alloc-gated heap workout.
 func BenchmarkHeap10k(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := New()
+	s := New()
+	c := &countHandler{}
+	round := func() {
 		for j := 0; j < 10000; j++ {
-			s.Schedule(Duration(j*7919%10000), func() {})
+			s.ScheduleHandler(Duration(j*7919%10000), c)
 		}
 		s.Run()
+	}
+	round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
+// rescheduler fires and schedules itself again a pseudo-random delay
+// later, keeping the heap at a constant depth.
+type rescheduler struct {
+	s     *Simulator
+	state uint32
+	n     int
+}
+
+func (r *rescheduler) Fire() {
+	r.n++
+	r.state = r.state*1664525 + 1013904223
+	r.s.ScheduleHandler(Duration(r.state>>22), r)
+}
+
+// BenchmarkSimScheduleFire measures the steady-state handler path: each op
+// fires one event whose handler schedules its successor, with 1024 events
+// pending. The slab and heap are warm, so the gate holds At and Step
+// together at 0 allocs/op.
+func BenchmarkSimScheduleFire(b *testing.B) {
+	s := New()
+	r := &rescheduler{s: s, state: 1}
+	for i := 0; i < 1024; i++ {
+		r.Fire()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+	if s.Pending() != 1024 {
+		b.Fatalf("pending %d, want a constant 1024", s.Pending())
 	}
 }
 

@@ -6,7 +6,7 @@ type Ticker struct {
 	sim    *Simulator
 	period Duration
 	fn     func(now Time)
-	ev     *Event
+	ev     Handle
 	stop   bool
 }
 
@@ -22,21 +22,26 @@ func NewTicker(s *Simulator, period Duration, fn func(now Time)) *Ticker {
 }
 
 func (t *Ticker) arm() {
-	t.ev = t.sim.Schedule(t.period, func() {
-		if t.stop {
-			return
-		}
-		t.fn(t.sim.Now())
-		if !t.stop {
-			t.arm()
-		}
-	})
+	t.ev = t.sim.ScheduleHandler(t.period, (*tick)(t))
+}
+
+// tick is the Ticker's event handler; a distinct type keeps Fire out of
+// the Ticker's own method set.
+type tick Ticker
+
+func (k *tick) Fire() {
+	t := (*Ticker)(k)
+	if t.stop {
+		return
+	}
+	t.fn(t.sim.Now())
+	if !t.stop {
+		t.arm()
+	}
 }
 
 // Stop halts the ticker; subsequent ticks are cancelled.
 func (t *Ticker) Stop() {
 	t.stop = true
-	if t.ev != nil {
-		t.ev.Cancel()
-	}
+	t.sim.Cancel(t.ev)
 }

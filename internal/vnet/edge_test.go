@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mpdp/internal/nf"
-	"mpdp/internal/packet"
 	"mpdp/internal/sim"
 	"mpdp/internal/xrand"
 )
@@ -80,7 +79,7 @@ func TestScriptedSlowdownWindows(t *testing.T) {
 	}
 }
 
-func TestStrictPriorityScanAndAccessors(t *testing.T) {
+func TestStrictPriorityCancelIDAndAccessors(t *testing.T) {
 	sp := NewStrictPriority(30)
 	for i := uint64(1); i <= 3; i++ {
 		sp.Enqueue(classedPkt(t, i, nf.ClassBulk))
@@ -92,25 +91,27 @@ func TestStrictPriorityScanAndAccessors(t *testing.T) {
 	if sp.Bytes() <= 0 {
 		t.Fatal("Bytes() zero")
 	}
-	// Scan order visits priority bands first and can stop early.
-	var seen []uint64
-	sp.Scan(func(p *packet.Packet) bool {
-		seen = append(seen, p.ID)
-		return len(seen) < 2
-	})
-	if len(seen) != 2 || seen[0] != 9 {
-		t.Fatalf("scan order/early-stop: %v", seen)
+	// CancelID finds a packet in any band and marks only that one.
+	if !sp.CancelID(2) || !sp.CancelID(9) || sp.CancelID(9) || sp.CancelID(42) {
+		t.Fatal("CancelID across bands wrong")
+	}
+	var cancelled []uint64
+	for p := sp.Dequeue(); p != nil; p = sp.Dequeue() {
+		if p.Cancelled {
+			cancelled = append(cancelled, p.ID)
+		}
+	}
+	if len(cancelled) != 2 || cancelled[0] != 9 || cancelled[1] != 2 {
+		t.Fatalf("cancelled in dequeue order %v, want [9 2]", cancelled)
 	}
 }
 
-func TestDRRScanAndDegenerateQuanta(t *testing.T) {
+func TestDRRCancelIDAndDegenerateQuanta(t *testing.T) {
 	d := NewDRR(30, [3]int{1, 1, 1}) // quanta far below frame size
 	d.Enqueue(classedPkt(t, 1, nf.ClassLatencySensitive))
 	d.Enqueue(classedPkt(t, 2, nf.ClassBulk))
-	count := 0
-	d.Scan(func(*packet.Packet) bool { count++; return true })
-	if count != 2 {
-		t.Fatalf("scan visited %d", count)
+	if !d.CancelID(2) || d.CancelID(2) || d.Len() != 2 {
+		t.Fatal("CancelID through DRR bands wrong")
 	}
 	// Degenerate quanta must still make progress (fallback path) —
 	// deficit accumulation would need hundreds of rounds otherwise.

@@ -21,15 +21,19 @@ type Qdisc interface {
 	Len() int
 	// Bytes returns the queued byte backlog.
 	Bytes() int
-	// Scan visits queued packets until fn returns false. Used for
-	// cancellation marking.
-	Scan(fn func(p *packet.Packet) bool)
+	// CancelID marks the first waiting packet with this ID that is not
+	// already cancelled, and reports whether there was one.
+	CancelID(id uint64) bool
 }
 
-// FIFO is the default drop-tail discipline.
+// FIFO is the default drop-tail discipline: a ring buffer that grows in
+// powers of two up to its capacity and clears each slot it dequeues, so a
+// served packet is not kept reachable by the queue.
 type FIFO struct {
 	cap   int
-	queue []*packet.Packet
+	ring  []*packet.Packet // len is zero or a power of two
+	head  int              // index of the oldest packet
+	n     int
 	bytes int
 }
 
@@ -42,39 +46,76 @@ func NewFIFO(capacity int) *FIFO {
 }
 
 // Enqueue implements Qdisc.
+//
+//mpdp:hotpath bench=BenchmarkFIFOEnqueueDequeue
 func (f *FIFO) Enqueue(p *packet.Packet) bool {
-	if len(f.queue) >= f.cap {
+	if f.n >= f.cap {
 		return false
 	}
-	f.queue = append(f.queue, p)
+	if f.n == len(f.ring) {
+		f.grow()
+	}
+	f.ring[(f.head+f.n)&(len(f.ring)-1)] = p
+	f.n++
 	f.bytes += p.Size()
 	return true
 }
 
+// grow doubles the ring (from 16), unwrapping it so the oldest packet
+// lands at index 0. The ring stops growing at the first power of two that
+// holds cap packets.
+func (f *FIFO) grow() {
+	size := 2 * len(f.ring)
+	if size == 0 {
+		size = 16
+	}
+	//lint:allow hotalloc amortized: the ring doubles only until it holds the queue's peak depth
+	ring := make([]*packet.Packet, size)
+	for i := 0; i < f.n; i++ {
+		ring[i] = f.ring[(f.head+i)&(len(f.ring)-1)]
+	}
+	f.ring, f.head = ring, 0
+}
+
 // Dequeue implements Qdisc.
+//
+//mpdp:hotpath bench=BenchmarkFIFOEnqueueDequeue
 func (f *FIFO) Dequeue() *packet.Packet {
-	if len(f.queue) == 0 {
+	if f.n == 0 {
 		return nil
 	}
-	p := f.queue[0]
-	f.queue = f.queue[1:]
+	p := f.ring[f.head]
+	f.ring[f.head] = nil
+	f.head = (f.head + 1) & (len(f.ring) - 1)
+	f.n--
 	f.bytes -= p.Size()
 	return p
 }
 
+// Peek returns the packet Dequeue would return next, or nil when empty.
+func (f *FIFO) Peek() *packet.Packet {
+	if f.n == 0 {
+		return nil
+	}
+	return f.ring[f.head]
+}
+
 // Len implements Qdisc.
-func (f *FIFO) Len() int { return len(f.queue) }
+func (f *FIFO) Len() int { return f.n }
 
 // Bytes implements Qdisc.
 func (f *FIFO) Bytes() int { return f.bytes }
 
-// Scan implements Qdisc.
-func (f *FIFO) Scan(fn func(*packet.Packet) bool) {
-	for _, p := range f.queue {
-		if !fn(p) {
-			return
+// CancelID implements Qdisc.
+func (f *FIFO) CancelID(id uint64) bool {
+	for i := 0; i < f.n; i++ {
+		p := f.ring[(f.head+i)&(len(f.ring)-1)]
+		if p.ID == id && !p.Cancelled {
+			p.Cancelled = true
+			return true
 		}
 	}
+	return false
 }
 
 // classOf maps a packet to a band via the DSCP bits the classifier stamps
@@ -138,21 +179,14 @@ func (sp *StrictPriority) Bytes() int {
 	return sp.bands[0].Bytes() + sp.bands[1].Bytes() + sp.bands[2].Bytes()
 }
 
-// Scan implements Qdisc.
-func (sp *StrictPriority) Scan(fn func(*packet.Packet) bool) {
-	stop := false
+// CancelID implements Qdisc.
+func (sp *StrictPriority) CancelID(id uint64) bool {
 	for _, b := range sp.bands {
-		if stop {
-			return
-		}
-		b.Scan(func(p *packet.Packet) bool {
-			if !fn(p) {
-				stop = true
-				return false
-			}
+		if b.CancelID(id) {
 			return true
-		})
+		}
 	}
+	return false
 }
 
 // DRR is a three-band deficit round robin: bands share the core in
@@ -213,7 +247,7 @@ func (d *DRR) Dequeue() *packet.Packet {
 			d.deficit[d.active] += d.quanta[d.active]
 			d.credited = true
 		}
-		head := band.queue[0]
+		head := band.Peek()
 		if d.deficit[d.active] >= head.Size() {
 			d.deficit[d.active] -= head.Size()
 			return band.Dequeue()
@@ -244,19 +278,12 @@ func (d *DRR) Bytes() int {
 	return d.bands[0].Bytes() + d.bands[1].Bytes() + d.bands[2].Bytes()
 }
 
-// Scan implements Qdisc.
-func (d *DRR) Scan(fn func(*packet.Packet) bool) {
-	stop := false
-	for i := range d.bands {
-		if stop {
-			return
-		}
-		d.bands[i].Scan(func(p *packet.Packet) bool {
-			if !fn(p) {
-				stop = true
-				return false
-			}
+// CancelID implements Qdisc.
+func (d *DRR) CancelID(id uint64) bool {
+	for _, b := range d.bands {
+		if b.CancelID(id) {
 			return true
-		})
+		}
 	}
+	return false
 }

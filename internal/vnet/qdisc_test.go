@@ -59,18 +59,30 @@ func TestFIFOOrderAndBounds(t *testing.T) {
 	}
 }
 
-func TestFIFOScanStopsEarly(t *testing.T) {
+func TestFIFOCancelIDStopsAtFirstMatch(t *testing.T) {
 	f := NewFIFO(8)
+	var pkts []*packet.Packet
 	for i := uint64(1); i <= 4; i++ {
-		f.Enqueue(classedPkt(t, i, nf.ClassDefault))
+		p := classedPkt(t, i, nf.ClassDefault)
+		pkts = append(pkts, p)
+		f.Enqueue(p)
 	}
-	visited := 0
-	f.Scan(func(p *packet.Packet) bool {
-		visited++
-		return p.ID != 2
-	})
-	if visited != 2 {
-		t.Fatalf("scan visited %d, want 2", visited)
+	twin := classedPkt(t, 2, nf.ClassDefault) // a second waiting packet with ID 2
+	f.Enqueue(twin)
+	if !f.CancelID(2) {
+		t.Fatal("CancelID missed a queued packet")
+	}
+	if !pkts[1].Cancelled || twin.Cancelled {
+		t.Fatalf("CancelID marked first=%v twin=%v, want only the first", pkts[1].Cancelled, twin.Cancelled)
+	}
+	if !f.CancelID(2) || !twin.Cancelled {
+		t.Fatal("second CancelID did not reach the next uncancelled match")
+	}
+	if f.CancelID(2) || f.CancelID(99) {
+		t.Fatal("CancelID reported a match with none left")
+	}
+	if f.Len() != 5 {
+		t.Fatalf("CancelID removed packets: Len() = %d", f.Len())
 	}
 }
 

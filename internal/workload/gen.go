@@ -89,7 +89,7 @@ func (t *Traffic) NextPacket() *packet.Packet {
 	if payload > 9000 {
 		payload = 9000
 	}
-	frame := packet.BuildUDP(key, make([]byte, payload), packet.BuildOpts{})
+	frame := packet.BuildUDPZero(key, payload, packet.BuildOpts{})
 	t.emitted++
 	t.bytes += uint64(len(frame))
 	return &packet.Packet{Data: frame, Flow: key, FlowID: key.Hash64()}
@@ -97,19 +97,31 @@ func (t *Traffic) NextPacket() *packet.Packet {
 
 // Run schedules arrivals on s, calling emit for each packet, until horizon.
 func (t *Traffic) Run(s *sim.Simulator, emit func(*packet.Packet), horizon sim.Time) {
-	var schedule func()
-	schedule = func() {
-		gap := t.cfg.Arrival.Next()
-		next := s.Now() + gap
-		if next > horizon {
-			return
-		}
-		s.Schedule(gap, func() {
-			emit(t.NextPacket())
-			schedule()
-		})
+	(&arrivals{t: t, s: s, emit: emit, horizon: horizon}).schedule()
+}
+
+// arrivals is one Run's state: the event handler for every arrival, which
+// emits a packet and schedules its successor.
+type arrivals struct {
+	t       *Traffic
+	s       *sim.Simulator
+	emit    func(*packet.Packet)
+	horizon sim.Time
+}
+
+// schedule draws the next gap and queues the arrival if it lands within
+// the horizon.
+func (a *arrivals) schedule() {
+	gap := a.t.cfg.Arrival.Next()
+	if a.s.Now()+gap > a.horizon {
+		return
 	}
-	schedule()
+	a.s.ScheduleHandler(gap, a)
+}
+
+func (a *arrivals) Fire() {
+	a.emit(a.t.NextPacket())
+	a.schedule()
 }
 
 // Emitted returns packets and bytes generated so far.
