@@ -7,7 +7,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"mpdp/internal/obs"
 	"mpdp/internal/packet"
@@ -51,6 +51,9 @@ type Reorder struct {
 	occupancy    int    // buffered entries, tombstones included
 	pktOccupancy int    // buffered real packets only
 	maxOccupancy int
+
+	keyScratch []uint64     // sorted-walk key buffer, reused across walks
+	rearmFloor sim.Duration // shortest gap-timer delay (see SetRearmFloor)
 }
 
 type pendingPkt struct {
@@ -63,6 +66,7 @@ type flowOrder struct {
 	next    uint64 // lowest sequence not yet released
 	pending map[uint64]pendingPkt
 	timer   sim.Handle // gap timer, armed while pending is non-empty
+	inserts uint64     // bumped on every insert into pending (see pendingWalk)
 }
 
 // Fire is the flow's gap timer expiring.
@@ -79,11 +83,26 @@ func NewReorder(s *sim.Simulator, timeout sim.Duration, deliver DeliverFunc) *Re
 		panic("core: NewReorder with nil deliver")
 	}
 	return &Reorder{
-		sim:     s,
-		timeout: timeout,
-		deliver: deliver,
-		flows:   make(map[uint64]*flowOrder),
+		sim:        s,
+		timeout:    timeout,
+		deliver:    deliver,
+		flows:      make(map[uint64]*flowOrder),
+		rearmFloor: 1,
 	}
+}
+
+// SetRearmFloor sets the shortest delay the gap timer is armed with
+// (default and minimum 1 ns). When a flow's oldest entry has expired but
+// waits behind a younger smallest sequence, the timer re-arms at this
+// floor until the head expires: one event per nanosecond by default. An
+// owner that advances the clock to wall time in large steps sets the
+// floor to a fraction of the timeout, trading that much release delay for
+// a bounded number of timer events per hole.
+func (r *Reorder) SetRearmFloor(d sim.Duration) {
+	if d < 1 {
+		d = 1
+	}
+	r.rearmFloor = d
 }
 
 // OnLost registers a callback for packets the buffer discards for good — a
@@ -142,6 +161,7 @@ func (r *Reorder) Submit(p *packet.Packet) {
 		r.outOfOrder++
 		r.emit(obs.KindReorderEnter, p, 0, 0)
 		f.pending[p.Seq] = pendingPkt{p: p, at: r.sim.Now()}
+		f.inserts++
 		r.occupancy++
 		r.pktOccupancy++
 		if r.occupancy > r.maxOccupancy {
@@ -168,6 +188,7 @@ func (r *Reorder) Skip(flowID, seq uint64) {
 		return
 	}
 	f.pending[seq] = pendingPkt{p: nil, at: r.sim.Now()}
+	f.inserts++
 	r.occupancy++
 	if r.occupancy > r.maxOccupancy {
 		r.maxOccupancy = r.occupancy
@@ -218,8 +239,8 @@ func (r *Reorder) armTimer(f *flowOrder) {
 	}
 	oldest := r.oldestPending(f)
 	fireIn := oldest + r.timeout - r.sim.Now()
-	if fireIn < 1 {
-		fireIn = 1
+	if fireIn < r.rearmFloor {
+		fireIn = r.rearmFloor
 	}
 	f.timer = r.sim.ScheduleHandler(fireIn, f)
 }
@@ -234,21 +255,86 @@ func (r *Reorder) oldestPending(f *flowOrder) sim.Time {
 	return oldest
 }
 
-// onTimeout releases, in sequence order, every pending entry that has
-// waited at least the timeout (declaring the gaps before them lost), then
-// re-arms for the oldest survivor.
-func (r *Reorder) onTimeout(f *flowOrder) {
-	cutoff := r.sim.Now() - r.timeout
-	for len(f.pending) > 0 {
-		// Find the smallest pending sequence.
+// pendingWalk visits a flow's pending entries smallest sequence first
+// while the caller releases them. The first step is one linear scan: most
+// gap-timer fires release one entry or none, and a fire whose oldest entry
+// waits behind a younger head refires every nanosecond until the head
+// expires, so that step must cost no more than a scan. From the second
+// step on, the keys are sorted once and walked, skipping entries a drain
+// already released, so releasing a backlog of n entries behind holes costs
+// O(n log n) rather than a rescan per release. A deliver callback that
+// re-enters Submit or Skip on the same flow can insert a smaller key; the
+// walk notices through flowOrder.inserts and re-sorts, so the release
+// order is exactly "current minimum first".
+type pendingWalk struct {
+	r       *Reorder
+	f       *flowOrder
+	scanned bool
+	sorted  bool
+	keys    []uint64 // ascending, once sorted
+	i       int      // next candidate in keys
+	inserts uint64   // f.inserts when keys were sorted
+}
+
+func (r *Reorder) walk(f *flowOrder) pendingWalk { return pendingWalk{r: r, f: f} }
+
+// min returns the flow's smallest pending sequence and its entry.
+func (w *pendingWalk) min() (uint64, pendingPkt, bool) {
+	f := w.f
+	if len(f.pending) == 0 {
+		return 0, pendingPkt{}, false
+	}
+	if !w.scanned {
+		w.scanned = true
 		min := ^uint64(0)
 		for seq := range f.pending {
 			if seq < min {
 				min = seq
 			}
 		}
-		e := f.pending[min]
-		if e.at > cutoff {
+		return min, f.pending[min], true
+	}
+	if !w.sorted || f.inserts != w.inserts {
+		w.sort()
+	}
+	for ; w.i < len(w.keys); w.i++ {
+		if e, ok := f.pending[w.keys[w.i]]; ok {
+			return w.keys[w.i], e, true
+		}
+	}
+	return 0, pendingPkt{}, false // unreachable: every pending key was sorted
+}
+
+func (w *pendingWalk) sort() {
+	if !w.sorted {
+		w.keys, w.r.keyScratch = w.r.keyScratch[:0], nil
+		w.sorted = true
+	}
+	w.keys = w.keys[:0]
+	for seq := range w.f.pending {
+		w.keys = append(w.keys, seq)
+	}
+	slices.Sort(w.keys)
+	w.i = 0
+	w.inserts = w.f.inserts
+}
+
+// done hands the key buffer back for the next walk.
+func (w *pendingWalk) done() {
+	if w.sorted {
+		w.r.keyScratch = w.keys[:0]
+	}
+}
+
+// onTimeout releases, in sequence order, every pending entry that has
+// waited at least the timeout (declaring the gaps before them lost), then
+// re-arms for the oldest survivor.
+func (r *Reorder) onTimeout(f *flowOrder) {
+	cutoff := r.sim.Now() - r.timeout
+	w := r.walk(f)
+	for {
+		min, e, ok := w.min()
+		if !ok || e.at > cutoff {
 			break // youngest-first survivors keep waiting
 		}
 		delete(f.pending, min)
@@ -265,6 +351,7 @@ func (r *Reorder) onTimeout(f *flowOrder) {
 		}
 		r.drain(f)
 	}
+	w.done()
 	r.armTimer(f)
 }
 
@@ -317,19 +404,17 @@ func (r *Reorder) Flush() {
 	for id := range r.flows {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		f := r.flows[id]
 		r.sim.Cancel(f.timer)
 		f.timer = sim.Handle{}
-		for len(f.pending) > 0 {
-			min := ^uint64(0)
-			for seq := range f.pending {
-				if seq < min {
-					min = seq
-				}
+		w := r.walk(f)
+		for {
+			min, e, ok := w.min()
+			if !ok {
+				break
 			}
-			e := f.pending[min]
 			delete(f.pending, min)
 			r.occupancy--
 			if e.p != nil {
@@ -341,5 +426,6 @@ func (r *Reorder) Flush() {
 				f.next = min + 1
 			}
 		}
+		w.done()
 	}
 }

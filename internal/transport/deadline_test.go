@@ -131,10 +131,10 @@ func TestLoopbackDeadlineCleanWire(t *testing.T) {
 		t.Fatalf("RunLoopback: %v", err)
 	}
 	if err := rep.Verify(); err != nil {
-		t.Fatalf("invariants: %v", err)
+		t.Fatalf("invariants: %v (%s)", err, reorderDiag(rep))
 	}
 	if rep.Delivered != rep.Packets {
-		t.Fatalf("delivered %d of %d on a clean wire", rep.Delivered, rep.Packets)
+		t.Fatalf("delivered %d of %d on a clean wire (%s)", rep.Delivered, rep.Packets, reorderDiag(rep))
 	}
 	if rep.Sender.DupBytes != 0 {
 		t.Fatalf("clean wire spent %d dup bytes under a generous deadline", rep.Sender.DupBytes)

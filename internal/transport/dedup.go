@@ -20,7 +20,9 @@ package transport
 const DefaultDedupWindow = 4096
 
 // dedupWindow is one flow's admitted-seq bitmap covering
-// (max-window, max]. Not goroutine-safe; owned by the reorder driver.
+// (max-window, max]. Not goroutine-safe: the per-path wire windows are
+// guarded by their path's lock, the per-flow windows by the receiver's
+// dedup lock.
 type dedupWindow struct {
 	started bool
 	max     uint64   // highest admitted seq

@@ -24,11 +24,13 @@ type Impairment struct {
 // Impairer intercepts frames on their way to a path's socket — the wire
 // transport's fault-injection hook, mirroring internal/fault's NF
 // error-mode semantics (seeded fractions of packets harmed while active)
-// at the link layer instead of inside a chain. Implementations must be
-// safe for use from the sender's Send goroutine and any delayed-write
-// timers.
+// at the link layer instead of inside a chain. Impair is called once per
+// outgoing frame with the frame's path index; the verdict depends on the
+// path and the impairer's own state, never on the frame's contents.
+// Implementations must be safe for use from the sender's Send goroutine
+// and any delayed-write timers.
 type Impairer interface {
-	Impair(path int, h *Header) Impairment
+	Impair(path int) Impairment
 }
 
 // ImpairConfig parameterizes RandomImpairer: per-frame probabilities, an
@@ -71,7 +73,7 @@ func NewRandomImpairer(cfg ImpairConfig) *RandomImpairer {
 }
 
 // Impair implements Impairer.
-func (im *RandomImpairer) Impair(path int, h *Header) Impairment {
+func (im *RandomImpairer) Impair(path int) Impairment {
 	if im.cfg.Path != -1 && path != im.cfg.Path {
 		return Impairment{}
 	}
@@ -142,7 +144,7 @@ func NewBurstImpairer(cfg BurstImpairConfig) *BurstImpairer {
 }
 
 // Impair implements Impairer.
-func (im *BurstImpairer) Impair(path int, h *Header) Impairment {
+func (im *BurstImpairer) Impair(path int) Impairment {
 	im.mu.Lock()
 	defer im.mu.Unlock()
 	pos := im.n % im.cfg.Period

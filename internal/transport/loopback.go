@@ -72,7 +72,8 @@ type LoopbackConfig struct {
 	// gateway wires SIGINT here).
 	Stop <-chan struct{}
 	// OnDeliver, when non-nil, observes each in-order delivery (driver
-	// goroutine; packet owned by the transport after return).
+	// goroutine; the packet is borrowed until return, as for
+	// ReceiverConfig.Deliver).
 	OnDeliver func(p *packet.Packet)
 	// SenderTrace and ReceiverTrace, when non-nil, attach wire flight
 	// recorders to the two endpoints. Both should be built with the same

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,10 +41,13 @@ type ReceiverConfig struct {
 	// Spans, when non-nil, records socket-read/reorder/deliver/e2e stages.
 	Spans *Spans
 	// Deliver receives packets in per-flow order on the reorder driver
-	// goroutine. The packet is owned by the callback.
+	// goroutine. The packet, its Data included, is borrowed until Deliver
+	// returns: the receiver then recycles both for a later frame, so a
+	// callback that keeps any of it past its return must copy it.
 	Deliver func(p *packet.Packet)
 	// OnLost is invoked (driver goroutine) for stragglers that arrive
-	// after their sequence was timed out past.
+	// after their sequence was timed out past. Same borrow contract as
+	// Deliver.
 	OnLost func(p *packet.Packet)
 	// Verifier, when non-nil, is fed every in-order delivery.
 	Verifier *Verifier
@@ -62,11 +66,11 @@ type recvPath struct {
 	conn *net.UDPConn
 
 	mu        sync.Mutex
-	src       *net.UDPAddr // last data source: where acks go
-	wire      *dedupWindow // per-path wire dedup on PathSeq
-	high      uint64       // highest PathSeq seen
-	recv      uint64       // distinct frames received
-	lastSend  int64        // SendNanos of the newest data frame (RTT echo)
+	src       netip.AddrPort // last data source: where acks go
+	wire      *dedupWindow   // per-path wire dedup on PathSeq
+	high      uint64         // highest PathSeq seen
+	recv      uint64         // distinct frames received
+	lastSend  int64          // SendNanos of the newest data frame (RTT echo)
 	sinceAck  int
 	ackedRecv uint64 // recv as of the last ack sent
 
@@ -78,10 +82,24 @@ type recvPath struct {
 // Receiver listens on N UDP paths, acknowledges per-path receipt (feeding
 // the sender's loss detection), deduplicates hedged copies, and funnels
 // everything through the core reorder buffer for in-order delivery.
+//
+// The steady-state data path allocates nothing per frame: sockets are read
+// into a per-path buffer with netip addresses, hedged siblings are dropped
+// by the reader-side dedup before any packet is built, and the winner's
+// packet and payload buffer are recycled once Deliver or OnLost returns.
 type Receiver struct {
 	cfg    ReceiverConfig
 	paths  []*recvPath
 	driver *reorderDriver
+
+	// dedupMu guards dedup: every path's reader claims (flow, seq) for
+	// the first copy, then builds and queues its packet, under one hold.
+	dedupMu sync.Mutex
+	dedup   *dedup
+
+	// free recycles delivered packets (and their Data buffers) to the
+	// readers. Packets dropped anywhere else are left to the GC.
+	free sync.Pool
 
 	delivered atomic.Uint64
 	lost      atomic.Uint64
@@ -109,7 +127,7 @@ func Listen(cfg ReceiverConfig) (*Receiver, error) {
 	if cfg.AckInterval == 0 {
 		cfg.AckInterval = 2 * time.Millisecond
 	}
-	r := &Receiver{cfg: cfg, stop: make(chan struct{})}
+	r := &Receiver{cfg: cfg, stop: make(chan struct{}), dedup: newDedup(cfg.DedupWindow)}
 	for i, addr := range cfg.Addrs {
 		laddr, err := net.ResolveUDPAddr("udp", addr)
 		if err != nil {
@@ -133,7 +151,7 @@ func Listen(cfg ReceiverConfig) (*Receiver, error) {
 	}
 	r.driver = newReorderDriver(
 		func() sim.Time { return sim.Time(nowNanos()) },
-		cfg.ReorderTimeout, cfg.DedupWindow, r.deliver, r.onLost, cfg.Queue, cfg.Trace)
+		cfg.ReorderTimeout, r.deliver, r.onLost, cfg.Queue)
 	r.driver.start()
 	for _, p := range r.paths {
 		r.wg.Add(1)
@@ -183,8 +201,8 @@ func (r *Receiver) deliver(p *packet.Packet) {
 		v.NoteDelivered(p.FlowID, p.Seq)
 	}
 	r.delivered.Add(1)
-	// Capture identity before the callback: the packet belongs to the
-	// application once fn returns.
+	// Capture identity before the callback: a callback may scribble on
+	// the packet it borrows.
 	flowID, seq, pathID, pathSeq, done := p.FlowID, p.Seq, p.PathID, p.PathSeq, p.Done
 	if fn := r.cfg.Deliver; fn != nil {
 		t0 := nowNanos()
@@ -193,6 +211,7 @@ func (r *Receiver) deliver(p *packet.Packet) {
 			sp.Deliver.Record(nowNanos() - t0)
 		}
 	}
+	r.free.Put(p)
 	// The deliver event closes the timeline: Path/PathSeq name the
 	// admitted copy, A its arrival, B the pre-callback release time.
 	if tr := r.cfg.Trace; tr != nil && tr.Sampled(flowID, seq) {
@@ -211,6 +230,27 @@ func (r *Receiver) onLost(p *packet.Packet) {
 	if fn := r.cfg.OnLost; fn != nil {
 		fn(p)
 	}
+	r.free.Put(p)
+}
+
+// newPacket builds the reorder-stage packet for a first copy, reusing a
+// recycled packet and its payload buffer when one is free.
+func (r *Receiver) newPacket(h *Header, payload []byte, now int64) *packet.Packet {
+	p, _ := r.free.Get().(*packet.Packet)
+	if p == nil {
+		p = new(packet.Packet)
+	}
+	*p = packet.Packet{
+		FlowID:  h.FlowID,
+		Seq:     h.Seq,
+		Data:    append(p.Data[:0], payload...),
+		PathID:  int(h.PathID),
+		PathSeq: h.PathSeq,
+		IsDup:   h.IsDup(),
+		Ingress: sim.Time(h.SendNanos),
+		Done:    sim.Time(now),
+	}
+	return p
 }
 
 // readLoop pulls datagrams off one path's socket until it is closed.
@@ -219,7 +259,7 @@ func (r *Receiver) readLoop(p *recvPath) {
 	buf := make([]byte, HeaderLen+MaxPayload)
 	for {
 		t0 := nowNanos()
-		n, src, err := p.conn.ReadFromUDP(buf)
+		n, src, err := p.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}
@@ -296,17 +336,33 @@ func (r *Receiver) readLoop(p *recvPath) {
 			continue // wire duplicate: already counted, never resubmitted
 		}
 
-		data := make([]byte, len(payload))
-		copy(data, payload)
-		r.driver.in <- &packet.Packet{
-			FlowID:  h.FlowID,
-			Seq:     h.Seq,
-			Data:    data,
-			PathID:  int(h.PathID),
-			PathSeq: h.PathSeq,
-			IsDup:   h.IsDup(),
-			Ingress: sim.Time(h.SendNanos),
-			Done:    sim.Time(now),
+		// First copy wins: a hedged sibling that already claimed this
+		// (flow, seq) on another path is dropped before a packet exists.
+		r.dedupMu.Lock()
+		if !r.dedup.Admit(h.FlowID, h.Seq) {
+			r.dedupMu.Unlock()
+			// A=0 marks the flow-level dedup verdict (vs 1 for a wire
+			// duplicate).
+			if tr != nil && tr.Sampled(h.FlowID, h.Seq) {
+				tr.Emit(obs.WireEvent{Nanos: now, Kind: obs.WireDedup,
+					Path: int32(h.PathID), FlowID: h.FlowID, Seq: h.Seq,
+					PathSeq: h.PathSeq})
+			}
+			continue
+		}
+		// The claim and the hand-off to the driver share one lock hold,
+		// so no sibling reader can queue a later seq of the flow ahead of
+		// this one. A reader descheduled between the two would otherwise
+		// leave a hole only its own copy can fill, and a gap timeout
+		// meanwhile turns that copy into a late drop. Only a full queue
+		// waits, and it waits outside the lock.
+		pkt := r.newPacket(&h, payload, now)
+		select { //lint:allow lockheld non-blocking send; the blocking fallback runs after Unlock
+		case r.driver.in <- pkt:
+			r.dedupMu.Unlock()
+		default:
+			r.dedupMu.Unlock()
+			r.driver.in <- pkt
 		}
 	}
 }
@@ -327,13 +383,13 @@ func (p *recvPath) ackHeaderLocked() Header {
 }
 
 // writeControl sends a header-only frame (ack or echo) back to src.
-func (r *Receiver) writeControl(p *recvPath, h Header, src *net.UDPAddr) {
+func (r *Receiver) writeControl(p *recvPath, h Header, src netip.AddrPort) {
 	var arr [HeaderLen]byte
 	frame, err := AppendFrame(arr[:0], &h, nil)
 	if err != nil {
 		return // cannot happen: header-only frames always encode
 	}
-	if _, err := p.conn.WriteToUDP(frame, src); err != nil {
+	if _, err := p.conn.WriteToUDPAddrPort(frame, src); err != nil {
 		return // receiver-side ack loss looks like wire loss; sender copes
 	}
 }
@@ -351,9 +407,9 @@ func (r *Receiver) ackSweep() {
 		case <-ticker.C:
 			for _, p := range r.paths {
 				p.mu.Lock()
-				pending := p.src != nil && (p.recv != p.ackedRecv || p.high > p.recv)
+				pending := p.src.IsValid() && (p.recv != p.ackedRecv || p.high > p.recv)
 				var ack Header
-				var src *net.UDPAddr
+				var src netip.AddrPort
 				if pending {
 					ack = p.ackHeaderLocked()
 					src = p.src
@@ -391,15 +447,17 @@ type ReceiverStats struct {
 	Paths     []RecvPathStats   `json:"paths"`
 }
 
-// Stats snapshots the receiver. Safe to call while running: driver-owned
+// Stats snapshots the receiver. Safe to call while running: reorder
 // counters are answered by the driver goroutine itself.
 func (r *Receiver) Stats() ReceiverStats {
-	ds := r.driver.snapshotStats()
+	r.dedupMu.Lock()
+	dupDrops := r.dedup.dupDrops
+	r.dedupMu.Unlock()
 	st := ReceiverStats{
 		Delivered: r.delivered.Load(),
 		Lost:      r.lost.Load(),
-		DupDrops:  ds.DupDrops,
-		Reorder:   ds.Reorder,
+		DupDrops:  dupDrops,
+		Reorder:   r.driver.snapshotStats(),
 	}
 	for _, p := range r.paths {
 		// Resolve the socket address before taking p.mu: LocalAddr goes

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mpdp/internal/core"
-	"mpdp/internal/obs"
 	"mpdp/internal/packet"
 	"mpdp/internal/sim"
 )
@@ -13,8 +12,8 @@ import (
 // reorderDriver funnels received frames through the existing core.Reorder
 // buffer — hole punching, gap timeouts, late-straggler accounting and all —
 // by running a private discrete-event simulator whose clock is advanced to
-// wall time. One goroutine owns the simulator, the reorder buffer, and the
-// dedup state, so none of core's single-threaded machinery needs locks:
+// wall time. One goroutine owns the simulator and the reorder buffer, so
+// none of core's single-threaded machinery needs locks: deduplicated
 // frames flow in over a channel, gap timers fire whenever the clock is
 // advanced past them (each submit, plus an idle tick so a silent wire still
 // releases stragglers).
@@ -22,12 +21,10 @@ type reorderDriver struct {
 	clock   func() sim.Time // receiver's monotone unix-nano clock
 	sim     *sim.Simulator
 	rb      *core.Reorder
-	dedup   *dedup
 	in      chan *packet.Packet
-	stats   chan chan driverStats
+	stats   chan chan core.ReorderStats
 	stopped chan struct{}
 	tick    time.Duration
-	trace   *obs.WireRecorder // nil = wire tracing off
 
 	// gapSkipped mirrors the reorder buffer's abandoned-seq counter after
 	// every driver step, so callers applying backpressure (the loopback
@@ -35,26 +32,24 @@ type reorderDriver struct {
 	// round trip per packet.
 	gapSkipped atomic.Uint64
 
-	final driverStats // valid after close()
-}
-
-// driverStats is the driver-owned state a snapshot can safely expose.
-type driverStats struct {
-	Reorder  core.ReorderStats
-	DupDrops uint64 // hedged siblings dropped by first-copy-wins dedup
+	final core.ReorderStats // valid after close()
 }
 
 // newReorderDriver wires a core.Reorder with the given gap timeout (wall
 // nanoseconds) to a wall-clock pump. deliver and onLost run on the driver
 // goroutine.
-func newReorderDriver(clock func() sim.Time, timeout time.Duration, dedupWindow uint64,
-	deliver core.DeliverFunc, onLost core.DeliverFunc, queue int,
-	trace *obs.WireRecorder) *reorderDriver {
+func newReorderDriver(clock func() sim.Time, timeout time.Duration,
+	deliver core.DeliverFunc, onLost core.DeliverFunc, queue int) *reorderDriver {
 	s := sim.New()
 	// Anchor the simulator at the current wall clock so the first gap
 	// timer is scheduled relative to "now", not to 1970.
 	s.RunUntil(clock())
 	rb := core.NewReorder(s, sim.Duration(timeout.Nanoseconds()), deliver)
+	// Each RunUntil jumps the clock by the wall time since the last step,
+	// so a gap timer re-armed 1 ns out would fire once per elapsed
+	// nanosecond (millions of events per hole). 1/64 of the timeout bounds
+	// that at 64 events and delays a gap release by at most as much.
+	rb.SetRearmFloor(sim.Duration(timeout.Nanoseconds() / 64))
 	if onLost != nil {
 		rb.OnLost(onLost)
 	}
@@ -69,12 +64,10 @@ func newReorderDriver(clock func() sim.Time, timeout time.Duration, dedupWindow 
 		clock:   clock,
 		sim:     s,
 		rb:      rb,
-		dedup:   newDedup(dedupWindow),
 		in:      make(chan *packet.Packet, queue),
-		stats:   make(chan chan driverStats),
+		stats:   make(chan chan core.ReorderStats),
 		stopped: make(chan struct{}),
 		tick:    tick,
-		trace:   trace,
 	}
 }
 
@@ -92,25 +85,15 @@ func (d *reorderDriver) run() {
 				// remains in per-flow sequence order.
 				d.sim.RunUntil(d.clock())
 				d.rb.Flush()
-				d.final = d.snapshot()
-				d.gapSkipped.Store(d.final.Reorder.GapSkipped)
+				d.final = d.rb.Stats()
+				d.gapSkipped.Store(d.final.GapSkipped)
 				return
 			}
 			d.sim.RunUntil(d.clock())
-			if !d.dedup.Admit(p.FlowID, p.Seq) {
-				// A hedged sibling already claimed this seq. A=0 marks the
-				// flow-level dedup verdict (vs 1 for a wire duplicate).
-				if tr := d.trace; tr != nil && tr.Sampled(p.FlowID, p.Seq) {
-					tr.Emit(obs.WireEvent{Nanos: int64(d.clock()), Kind: obs.WireDedup,
-						Path: int32(p.PathID), FlowID: p.FlowID, Seq: p.Seq,
-						PathSeq: p.PathSeq})
-				}
-				continue
-			}
 			d.rb.Submit(p)
 			d.gapSkipped.Store(d.rb.Stats().GapSkipped)
 		case reply := <-d.stats:
-			reply <- d.snapshot()
+			reply <- d.rb.Stats()
 		case <-ticker.C:
 			d.sim.RunUntil(d.clock())
 			d.gapSkipped.Store(d.rb.Stats().GapSkipped)
@@ -118,15 +101,11 @@ func (d *reorderDriver) run() {
 	}
 }
 
-func (d *reorderDriver) snapshot() driverStats {
-	return driverStats{Reorder: d.rb.Stats(), DupDrops: d.dedup.dupDrops}
-}
-
-// snapshotStats returns driver-owned counters, answered by the driver
+// snapshotStats returns the reorder counters, answered by the driver
 // goroutine itself while running (race-free by construction) and from the
 // final snapshot after close.
-func (d *reorderDriver) snapshotStats() driverStats {
-	reply := make(chan driverStats, 1)
+func (d *reorderDriver) snapshotStats() core.ReorderStats {
+	reply := make(chan core.ReorderStats, 1)
 	select {
 	case d.stats <- reply:
 		return <-reply

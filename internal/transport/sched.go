@@ -161,7 +161,7 @@ func (s *scheduler) pick(paths []*senderPath, nowNanos int64, size int) (picks [
 	s.elig = s.elig[:0]
 	for i, p := range paths {
 		if p.eligible() {
-			s.elig = append(s.elig, i)
+			s.addElig(i)
 		}
 	}
 	cand := s.elig
@@ -170,7 +170,7 @@ func (s *scheduler) pick(paths []*senderPath, nowNanos int64, size int) (picks [
 		// watchdogs fed), exactly like the core policies.
 		s.verdict |= obs.WireSchedFallback
 		for i := range paths {
-			s.elig = append(s.elig, i)
+			s.addElig(i)
 		}
 		cand = s.elig
 	}
@@ -178,16 +178,16 @@ func (s *scheduler) pick(paths []*senderPath, nowNanos int64, size int) (picks [
 	s.picks = s.picks[:0]
 	switch s.name {
 	case SchedRoundRobin:
-		s.picks = append(s.picks, cand[s.next%len(cand)])
+		s.addPick(cand[s.next%len(cand)])
 		s.next++
 	case SchedLeastInflight:
-		s.picks = append(s.picks, bestByInflight(paths, cand, -1))
+		s.addPick(bestByInflight(paths, cand, -1))
 	case SchedDeadline:
 		// Best single path by RTT-plus-jitter estimate; duplicate onto the
 		// runner-up only when even the best estimate threatens the deadline
 		// and the byte budget covers the extra frame.
 		first := s.bestByEstimate(paths, cand, -1)
-		s.picks = append(s.picks, first)
+		s.addPick(first)
 		est := pathEstimate(paths[first], s.margin)
 		switch {
 		case s.deadlineNanos <= 0 || est <= s.deadlineNanos:
@@ -206,7 +206,7 @@ func (s *scheduler) pick(paths []*senderPath, nowNanos int64, size int) (picks [
 			} else {
 				s.dstats.Duplicated++
 				s.verdict |= obs.WireSchedDup
-				s.picks = append(s.picks, second)
+				s.addPick(second)
 			}
 		}
 	default: // SchedHedge
@@ -218,13 +218,13 @@ func (s *scheduler) pick(paths []*senderPath, nowNanos int64, size int) (picks [
 			k = len(cand)
 		}
 		first := bestByInflight(paths, cand, -1)
-		s.picks = append(s.picks, first)
+		s.addPick(first)
 		for len(s.picks) < k {
 			next := bestByInflight(paths, cand, s.picks...)
 			if next < 0 {
 				break
 			}
-			s.picks = append(s.picks, next)
+			s.addPick(next)
 		}
 	}
 	if canaryPath >= 0 {
@@ -235,9 +235,20 @@ func (s *scheduler) pick(paths []*senderPath, nowNanos int64, size int) (picks [
 			}
 		}
 		canaryIdx = len(s.picks)
-		s.picks = append(s.picks, canaryPath)
+		s.addPick(canaryPath)
 	}
 	return s.picks, canaryIdx
+}
+
+// addElig and addPick append to the scratch slices, which Dial sizes to
+// the path count: a packet's candidates and picks are distinct paths, so
+// neither ever grows.
+func (s *scheduler) addElig(i int) {
+	s.elig = append(s.elig, i) //lint:allow hotalloc capacity is the path count (Dial), never exceeded
+}
+
+func (s *scheduler) addPick(i int) {
+	s.picks = append(s.picks, i) //lint:allow hotalloc capacity is the path count (Dial), never exceeded
 }
 
 // nextProbing rotates across probing paths so concurrent probes share the

@@ -96,6 +96,13 @@ type senderPath struct {
 	scratch []byte
 }
 
+// plan is one wire copy of a packet: its path, path seq and frame flags.
+type plan struct {
+	path    *senderPath
+	pathSeq uint64
+	flags   uint8
+}
+
 func (p *senderPath) eligible() bool { return p.health.Eligible() }
 func (p *senderPath) probing() bool  { return p.health.State() == core.HealthProbing }
 func (p *senderPath) inflight() int  { return p.health.InFlight() }
@@ -108,6 +115,8 @@ type Sender struct {
 	cfg   SenderConfig
 	paths []*senderPath
 	sched scheduler
+
+	plans []plan // Send's per-packet copy list, reused across calls
 
 	mu       sync.Mutex
 	flowSeq  map[uint64]uint64 // next per-flow seq (the reorder key)
@@ -142,6 +151,8 @@ func Dial(cfg SenderConfig) (*Sender, error) {
 			name:        cfg.Scheduler,
 			hedgeK:      cfg.HedgeK,
 			canaryEvery: canaryEvery(cfg.Health),
+			picks:       make([]int, 0, len(cfg.Paths)),
+			elig:        make([]int, 0, len(cfg.Paths)),
 		},
 		flowSeq: make(map[uint64]uint64),
 		closed:  make(chan struct{}),
@@ -221,6 +232,8 @@ func (s *Sender) closeConns() {
 // wire copies of the same flow seq) and returns the assigned per-flow
 // sequence number. Not safe for concurrent use — callers own a single
 // submission goroutine.
+//
+//mpdp:hotpath bench=BenchmarkSenderSend
 func (s *Sender) Send(flowID uint64, payload []byte) (uint64, error) {
 	if len(payload) > MaxPayload {
 		return 0, ErrTooLarge
@@ -245,12 +258,7 @@ func (s *Sender) Send(flowID uint64, payload []byte) (uint64, error) {
 	}
 	// Assign wire seqs and charge health before releasing the lock, so an
 	// ack racing the socket write can never observe inflight underflow.
-	type plan struct {
-		path    *senderPath
-		pathSeq uint64
-		flags   uint8
-	}
-	plans := make([]plan, 0, 4)
+	plans := s.plans[:0]
 	for idx, i := range picks {
 		p := s.paths[i]
 		p.pathSeq++
@@ -267,8 +275,10 @@ func (s *Sender) Send(flowID uint64, payload []byte) (uint64, error) {
 		if idx == canaryIdx {
 			flags |= FlagProbe
 		}
+		//lint:allow hotalloc grows once to the widest pick (at most one copy per path), then reused
 		plans = append(plans, plan{p, p.pathSeq, flags})
 	}
+	s.plans = plans
 	s.mu.Unlock()
 
 	if v := s.cfg.Verifier; v != nil {
@@ -297,7 +307,7 @@ func (s *Sender) Send(flowID uint64, payload []byte) (uint64, error) {
 			PathSeq:   pl.pathSeq,
 			SendNanos: now,
 		}
-		if err := s.writeFrame(pl.path, h, payload, sampled); err != nil && firstErr == nil {
+		if err := s.writeFrame(pl.path, &h, payload, sampled); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -308,9 +318,9 @@ func (s *Sender) Send(flowID uint64, payload []byte) (uint64, error) {
 // verdict. Socket writes happen outside the sender lock. sampled marks
 // frames whose (flow, seq) is in the wire trace's sample: each copy that
 // actually reaches the socket emits a tx event stamped post-write.
-func (s *Sender) writeFrame(p *senderPath, h Header, payload []byte, sampled bool) error {
+func (s *Sender) writeFrame(p *senderPath, h *Header, payload []byte, sampled bool) error {
 	t0 := nowNanos()
-	buf, err := AppendFrame(p.scratch[:0], &h, payload)
+	buf, err := AppendFrame(p.scratch[:0], h, payload)
 	if err != nil {
 		return err
 	}
@@ -321,7 +331,7 @@ func (s *Sender) writeFrame(p *senderPath, h Header, payload []byte, sampled boo
 
 	writes := 1
 	if im := s.cfg.Impairer; im != nil {
-		v := im.Impair(int(h.PathID), &h)
+		v := im.Impair(int(h.PathID))
 		if v.Drop {
 			return nil // a silent wire loss: the receiver sees a path-seq gap
 		}
@@ -329,23 +339,7 @@ func (s *Sender) writeFrame(p *senderPath, h Header, payload []byte, sampled boo
 			writes = 2
 		}
 		if v.Delay > 0 {
-			// Delayed frames need their own copy: scratch is reused by the
-			// next Send before the timer fires.
-			own := make([]byte, len(buf))
-			copy(own, buf)
-			s.delayers.Add(1)
-			time.AfterFunc(v.Delay, func() { //lint:allow determinism impairer-injected wire delay
-				defer s.delayers.Done()
-				select {
-				case <-s.closed:
-					return
-				default:
-				}
-				for i := 0; i < writes; i++ {
-					s.write(p, own) //lint:allow erroreat write already fed the failure to health; a delayed frame has no caller to tell
-				}
-				s.traceTx(h, sampled)
-			})
+			s.writeDelayed(p, *h, buf, writes, v.Delay, sampled)
 			return nil
 		}
 	}
@@ -361,9 +355,32 @@ func (s *Sender) writeFrame(p *senderPath, h Header, payload []byte, sampled boo
 	return werr
 }
 
+// writeDelayed writes frame writes times after delay, from a timer. The
+// frame and header are copied: the path's scratch buffer and the caller's
+// header are reused by the next Send before the timer fires.
+func (s *Sender) writeDelayed(p *senderPath, h Header, frame []byte, writes int, delay time.Duration, sampled bool) {
+	//lint:allow hotalloc impairer-injected delay: fault injection, not the steady-state path
+	own := make([]byte, len(frame))
+	copy(own, frame)
+	s.delayers.Add(1)
+	//lint:allow hotalloc impairer-injected delay: the timer closure owns its frame and header copies
+	time.AfterFunc(delay, func() { //lint:allow determinism impairer-injected wire delay
+		defer s.delayers.Done()
+		select {
+		case <-s.closed:
+			return
+		default:
+		}
+		for i := 0; i < writes; i++ {
+			s.write(p, own) //lint:allow erroreat write already fed the failure to health; a delayed frame has no caller to tell
+		}
+		s.traceTx(&h, sampled)
+	})
+}
+
 // traceTx emits the copy's tx event and records the sender_queue stage
 // (accept → this copy's socket write, all sender clock).
-func (s *Sender) traceTx(h Header, sampled bool) {
+func (s *Sender) traceTx(h *Header, sampled bool) {
 	if !sampled {
 		return
 	}

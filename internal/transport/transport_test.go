@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -21,6 +22,16 @@ func wireHealth() core.HealthConfig {
 		ProbeSuccesses:    4,
 		DropWindowMin:     64,
 	}
+}
+
+// reorderDiag names what the receiver's reorder stage did with packets
+// that were sent but not delivered. A reader stall longer than the gap
+// timeout turns packets that did arrive into late drops; these counters
+// tell that apart from loss on the wire.
+func reorderDiag(rep *LoopbackReport) string {
+	ro := rep.Receiver.Reorder
+	return fmt.Sprintf("lost %d; reorder: late drops %d, gap-skipped seqs %d, timeout fires %d",
+		rep.Lost, ro.LateDrops, ro.GapSkipped, ro.TimeoutFires)
 }
 
 func TestLoopbackHedgedInOrder(t *testing.T) {
@@ -68,10 +79,10 @@ func TestLoopbackRoundRobinAndLeastInflight(t *testing.T) {
 			t.Fatalf("%s: RunLoopback: %v", sched, err)
 		}
 		if err := rep.Verify(); err != nil {
-			t.Fatalf("%s: invariants: %v", sched, err)
+			t.Fatalf("%s: invariants: %v (%s)", sched, err, reorderDiag(rep))
 		}
 		if rep.Delivered != rep.Packets {
-			t.Fatalf("%s: delivered %d of %d", sched, rep.Delivered, rep.Packets)
+			t.Fatalf("%s: delivered %d of %d (%s)", sched, rep.Delivered, rep.Packets, reorderDiag(rep))
 		}
 		if rep.Frames != rep.Packets {
 			t.Fatalf("%s: single-copy scheduler sent %d frames for %d packets", sched, rep.Frames, rep.Packets)
@@ -123,7 +134,7 @@ func TestLoopbackLossFlapsPathHealth(t *testing.T) {
 		t.Fatalf("RunLoopback: %v", err)
 	}
 	if err := rep.Verify(); err != nil {
-		t.Fatalf("invariants: %v", err)
+		t.Fatalf("invariants: %v (%s)", err, reorderDiag(rep))
 	}
 	dropped, _, _ := impair.Counts()
 	if dropped == 0 {
@@ -131,7 +142,7 @@ func TestLoopbackLossFlapsPathHealth(t *testing.T) {
 	}
 	// Hedging means every packet also rode the clean path 0.
 	if rep.Delivered != rep.Packets {
-		t.Fatalf("delivered %d of %d despite a clean hedge path", rep.Delivered, rep.Packets)
+		t.Fatalf("delivered %d of %d despite a clean hedge path (%s)", rep.Delivered, rep.Packets, reorderDiag(rep))
 	}
 	if q := rep.Sender.Paths[1].Quarantines; q == 0 {
 		t.Fatalf("path 1 at 90%% loss never quarantined: %+v", rep.Sender.Paths[1])

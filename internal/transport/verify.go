@@ -46,6 +46,7 @@ func NewVerifier() *Verifier {
 func (v *Verifier) violate(format string, args ...any) {
 	v.nViolations++
 	if len(v.violations) < v.maxViolations {
+		//lint:allow hotalloc violation path: formats only when an invariant already broke
 		v.violations = append(v.violations, fmt.Sprintf(format, args...))
 	}
 }
@@ -57,6 +58,7 @@ func (v *Verifier) NoteSent(flow, seq uint64) {
 	defer v.mu.Unlock()
 	v.sent++
 	if next := v.nextSent[flow]; seq != next {
+		//lint:allow hotalloc violation path: boxes only when an invariant already broke
 		v.violate("flow %x sent seq %d, want contiguous %d", flow, seq, next)
 	}
 	v.nextSent[flow] = seq + 1
