@@ -88,15 +88,20 @@ const (
 	// WireSched* verdict bits (deadline/dup decisions, canary, fallback).
 	WireSched
 	// WireTx: one wire copy left the socket. Path and PathSeq name the
-	// copy; Nanos is post-write, A holds the frame flags. Emitted even for
+	// copy; Nanos is read just before the write (so it never follows the
+	// copy's arrival on a shared clock), A holds the frame flags. Emitted even for
 	// frames an impairer will drop or delay — the sender cannot know.
 	WireTx
-	// WireAckTx: the receiver sent a cumulative ack on a path. A is the
-	// total distinct frames received, B the high-water path seq.
+	// WireAckTx: the receiver sent a cumulative ack on a path. Nanos is
+	// read just before the write; A is the total distinct frames received,
+	// B the high-water path seq.
 	WireAckTx
 	// WireAckRx: the sender folded a cumulative ack into path accounting.
 	// A is the RTT sample in nanoseconds (0 = the ack carried no fresh
-	// echo), B the newly conclusive loss count.
+	// echo), B the newly conclusive loss count. Seq and PathSeq repeat the
+	// ack's received count and high-water path seq (the A and B of the
+	// WireAckTx it answers), which joins the two for the clock-offset
+	// estimate.
 	WireAckRx
 	// WireRx: a data frame arrived (fresh or duplicate). Path and PathSeq
 	// name the copy, A echoes the header's SendNanos (sender clock), B
@@ -179,7 +184,7 @@ type WireEvent struct {
 
 	// Packet identity: the per-flow sequence is the cross-endpoint join
 	// key, the per-path sequence names one wire copy. Zero for path-scoped
-	// events (acks).
+	// events (acks), except that WireAckRx carries its ack's counts here.
 	FlowID  uint64
 	Seq     uint64
 	PathSeq uint64

@@ -16,13 +16,26 @@ import (
 //   - Every data frame's header carries SendNanos (sender clock); the
 //     receiver's rx event records both its own arrival clock and that
 //     echo, so each matched copy yields gap = rx − tx = offset + one-way.
-//   - Every cumulative ack echoes the newest data frame's SendNanos back
-//     to the sender, which records the round trip rtt = now − echo. The
-//     minimum RTT bounds the fastest one-way at minRTT/2 under the usual
-//     symmetric-path assumption.
+//   - Every cumulative ack is recorded twice: WireAckTx (receiver clock,
+//     read just before the ack's socket write) and WireAckRx (sender
+//     clock, when it arrived), both keyed by the ack's (path, received
+//     count, high-water seq). Each matched ack yields back = rx − tx =
+//     −offset + one-way in the reverse direction.
 //
-// offset ≈ min(gap) − minRTT/2: the copy with the smallest gap traveled
-// the fastest observed one-way, estimated as half the fastest round trip.
+// offset ≈ (min(gap) − min(back)) / 2: the fastest forward and the
+// fastest reverse one-way are assumed equal (the usual symmetric-path
+// assumption), and the two minima cancel them. Both minima are pure
+// socket-to-socket times, so neither the sender's queue nor the
+// receiver's ack hold (up to AckEvery frames or one ack sweep) enters
+// the estimate.
+//
+// A trace without matched ack pairs (older traces, or rings that kept
+// only one side's acks) falls back to offset ≈ min(gap) − minRTT/2, with
+// minRTT the smallest ack-echoed round trip. That RTT runs from the echoed
+// frame's accept time to the ack's arrival, so it also holds the sender
+// queue and the ack hold, and the fallback under-estimates the offset by
+// half of them.
+//
 // Offset error moves latency between the Propagation stage and nothing
 // else — the attribution identity below holds for ANY offset value.
 //
@@ -118,6 +131,9 @@ type WireMerge struct {
 	MinRTT int64
 	// RTTSamples counts acks that carried a fresh RTT echo.
 	RTTSamples int
+	// AckPairs counts acks matched between a WireAckTx and a WireAckRx
+	// event; when > 0 the offset comes from the two-way minimum.
+	AckPairs int
 
 	SenderEvents   int
 	ReceiverEvents int
@@ -130,6 +146,13 @@ type WireMerge struct {
 	Stages []WireStage
 	// Paths is the per-path table, path order.
 	Paths []WirePathStats
+}
+
+// ackKey joins an ack's two events: its path, received count and
+// high-water path seq.
+type ackKey struct {
+	path       int32
+	recv, high uint64
 }
 
 // timelineKey joins the two streams.
@@ -173,6 +196,22 @@ func MergeWire(events []WireEvent) *WireMerge {
 		}
 		b.tl.Copies = append(b.tl.Copies, WireCopy{Path: path, PathSeq: pathSeq})
 		return &b.tl.Copies[len(b.tl.Copies)-1]
+	}
+
+	// Ack join: an ack key seen more than once on one side (a sweep
+	// repeating an ack while a loss hole stays open) cannot be paired
+	// and is marked with n > 1.
+	type ackStamp struct {
+		nanos int64
+		n     int
+	}
+	ackTx := make(map[ackKey]ackStamp)
+	ackRx := make(map[ackKey]ackStamp)
+	stamp := func(at map[ackKey]ackStamp, k ackKey, nanos int64) {
+		s := at[k]
+		s.nanos = nanos
+		s.n++
+		at[k] = s
 	}
 
 	minRTT := int64(0)
@@ -222,18 +261,36 @@ func MergeWire(events []WireEvent) *WireMerge {
 			}
 		case WireLost:
 			get(ev.FlowID, ev.Seq).tl.Lost = true
+		case WireAckTx:
+			stamp(ackTx, ackKey{ev.Path, uint64(ev.A), uint64(ev.B)}, ev.Nanos)
 		case WireAckRx:
 			if ev.A > 0 && (minRTT == 0 || ev.A < minRTT) {
 				minRTT = ev.A
 			}
 			m.RTTSamples++
+			if ev.Seq != 0 || ev.PathSeq != 0 {
+				stamp(ackRx, ackKey{ev.Path, ev.Seq, ev.PathSeq}, ev.Nanos)
+			}
 		}
 	}
 	m.MinRTT = minRTT
+	minBack, haveBack := int64(0), false
+	for k, rx := range ackRx {
+		tx, ok := ackTx[k]
+		if !ok || rx.n > 1 || tx.n > 1 {
+			continue
+		}
+		m.AckPairs++
+		if back := rx.nanos - tx.nanos; !haveBack || back < minBack {
+			minBack, haveBack = back, true
+		}
+	}
 
-	// Clock offset: the fastest matched copy's gap minus half the fastest
-	// round trip. With no matched copies the offset stays 0 (single-ended
-	// streams still render, attribution just lives in one clock).
+	// Clock offset: half the difference of the fastest forward gap and
+	// the fastest reverse (ack) gap, or without ack pairs the fastest
+	// forward gap minus half the fastest round trip. With no matched
+	// copies the offset stays 0 (single-ended streams still render,
+	// attribution just lives in one clock).
 	minGap, haveGap := int64(0), false
 	for _, k := range order {
 		for _, c := range packets[k].tl.Copies {
@@ -246,7 +303,10 @@ func MergeWire(events []WireEvent) *WireMerge {
 			}
 		}
 	}
-	if haveGap {
+	switch {
+	case haveGap && haveBack:
+		m.OffsetNanos = (minGap - minBack) / 2
+	case haveGap:
 		m.OffsetNanos = minGap - minRTT/2
 	}
 

@@ -77,6 +77,54 @@ func TestMergeWireOffsetAndAttribution(t *testing.T) {
 	}
 }
 
+// ackPairScenario is a one-packet trace with true clock offset 5000ns
+// where the RTT echo misleads: the packet sat 800ns in the sender queue
+// and the receiver held its ack 3000ns. Forward one-way 100ns, reverse
+// one-way 120ns.
+//
+// Sender clock:   enq 1000, tx 1800, ack-rx 5020 (rtt echo 4020)
+// Receiver clock: rx 6900, ack-tx 9900 (recv 1, high 1)
+func ackPairScenario() []WireEvent {
+	return []WireEvent{
+		{Nanos: 1000, Kind: WireEnqueue, End: WireSender, Path: -1, FlowID: 7, Seq: 1, A: 64},
+		{Nanos: 1800, Kind: WireTx, End: WireSender, Path: 0, FlowID: 7, Seq: 1, PathSeq: 1},
+		{Nanos: 6900, Kind: WireRx, End: WireReceiver, Path: 0, FlowID: 7, Seq: 1, PathSeq: 1, A: 1000},
+		{Nanos: 6950, Kind: WireDeliver, End: WireReceiver, Path: 0, FlowID: 7, Seq: 1, PathSeq: 1, A: 6900, B: 6940},
+		{Nanos: 9900, Kind: WireAckTx, End: WireReceiver, Path: 0, A: 1, B: 1},
+		{Nanos: 5020, Kind: WireAckRx, End: WireSender, Path: 0, Seq: 1, PathSeq: 1, A: 4020},
+	}
+}
+
+// A matched ack gives the reverse one-way, so the offset is exact up to
+// the path asymmetry — (100 − 120)/2 — whatever the sender queue and the
+// ack hold were. The RTT-echo fallback would be off by half of both.
+func TestMergeWireOffsetFromAckPairs(t *testing.T) {
+	m := MergeWire(ackPairScenario())
+	if m.AckPairs != 1 {
+		t.Fatalf("ack pairs = %d, want 1", m.AckPairs)
+	}
+	if m.OffsetNanos != 4990 {
+		t.Fatalf("offset = %d, want 4990 ((5100 − (−4880))/2)", m.OffsetNanos)
+	}
+	tl := m.Timelines[0]
+	want := WireAttr{SenderQueue: 800, Propagation: 110, ReorderWait: 40, Deliver: 10}
+	if tl.Attr != want || tl.Attr.Total() != tl.E2E {
+		t.Fatalf("attr = %+v (e2e %d), want %+v", tl.Attr, tl.E2E, want)
+	}
+
+	// The same ack sent twice (a sweep repeating it while a hole stays
+	// open) cannot be paired: the merge falls back to the RTT echo.
+	evs := append(ackPairScenario(),
+		WireEvent{Nanos: 11900, Kind: WireAckTx, End: WireReceiver, Path: 0, A: 1, B: 1})
+	m = MergeWire(evs)
+	if m.AckPairs != 0 {
+		t.Fatalf("ack pairs = %d with a repeated ack key, want 0", m.AckPairs)
+	}
+	if m.OffsetNanos != 5100-4020/2 {
+		t.Fatalf("fallback offset = %d, want %d (minGap − minRTT/2)", m.OffsetNanos, 5100-4020/2)
+	}
+}
+
 func TestMergeWirePathTable(t *testing.T) {
 	m := MergeWire(mergeScenario())
 	if len(m.Paths) != 2 {

@@ -51,8 +51,8 @@ func (m *WireMerge) Render(w io.Writer, timelines int) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "-- wire trace: %d sender + %d receiver events --\n",
 		m.SenderEvents, m.ReceiverEvents)
-	fmt.Fprintf(&b, "clock offset (receiver-sender): %v   min rtt: %v (%d samples)\n",
-		time.Duration(m.OffsetNanos), time.Duration(m.MinRTT), m.RTTSamples)
+	fmt.Fprintf(&b, "clock offset (receiver-sender): %v   min rtt: %v (%d samples, %d ack pairs)\n",
+		time.Duration(m.OffsetNanos), time.Duration(m.MinRTT), m.RTTSamples, m.AckPairs)
 	fmt.Fprintf(&b, "packets: %d delivered, %d lost, %d incomplete (ring truncation)\n",
 		m.Delivered, m.Lost, m.Incomplete)
 	b.WriteString(m.Headline())

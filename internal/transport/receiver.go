@@ -64,6 +64,8 @@ type ReceiverConfig struct {
 type recvPath struct {
 	id   uint16
 	conn *net.UDPConn
+	// probe asks whether conn holds unread datagrams (nil: no probe).
+	probe *unreadProbe
 
 	mu        sync.Mutex
 	src       netip.AddrPort // last data source: where acks go
@@ -143,15 +145,20 @@ func Listen(cfg ReceiverConfig) (*Receiver, error) {
 		// outrun the reader goroutine (loss here is indistinguishable from
 		// wire loss, so buy as much headroom as the host allows).
 		conn.SetReadBuffer(4 << 20) //lint:allow erroreat best-effort socket buffer sizing
+		var probe *unreadProbe
+		if raw, err := conn.SyscallConn(); err == nil {
+			probe = newUnreadProbe(raw)
+		}
 		r.paths = append(r.paths, &recvPath{
-			id:   uint16(i),
-			conn: conn,
-			wire: newDedupWindow(DefaultDedupWindow),
+			id:    uint16(i),
+			conn:  conn,
+			probe: probe,
+			wire:  newDedupWindow(DefaultDedupWindow),
 		})
 	}
 	r.driver = newReorderDriver(
 		func() sim.Time { return sim.Time(nowNanos()) },
-		cfg.ReorderTimeout, r.deliver, r.onLost, cfg.Queue)
+		cfg.ReorderTimeout, r.deliver, r.onLost, cfg.Queue, r.unread)
 	r.driver.start()
 	for _, p := range r.paths {
 		r.wg.Add(1)
@@ -188,6 +195,17 @@ func (r *Receiver) closeConns() {
 			p.conn.Close() //lint:allow erroreat best-effort teardown of a UDP socket
 		}
 	}
+}
+
+// unread reports whether any path socket holds a datagram its reader has
+// not taken yet: the reorder driver holds due gap timers back meanwhile.
+func (r *Receiver) unread() bool {
+	for _, p := range r.paths {
+		if p.probe != nil && p.probe.unread() {
+			return true
+		}
+	}
+	return false
 }
 
 // deliver runs on the reorder driver goroutine for each in-order release.
@@ -321,9 +339,13 @@ func (r *Receiver) readLoop(p *recvPath) {
 
 		// Socket writes stay outside the lock.
 		if ackNow {
+			var ackNanos int64
+			if tr != nil {
+				ackNanos = nowNanos() // before the write, as for WireTx
+			}
 			r.writeControl(p, ack, src)
 			if tr != nil {
-				tr.Emit(obs.WireEvent{Nanos: nowNanos(), Kind: obs.WireAckTx,
+				tr.Emit(obs.WireEvent{Nanos: ackNanos, Kind: obs.WireAckTx,
 					Path: int32(p.id), A: int64(ack.Seq), B: int64(ack.PathSeq)})
 			}
 		}
@@ -416,9 +438,10 @@ func (r *Receiver) ackSweep() {
 				}
 				p.mu.Unlock()
 				if pending {
+					ackNanos := nowNanos()
 					r.writeControl(p, ack, src)
 					if tr := r.cfg.Trace; tr != nil {
-						tr.Emit(obs.WireEvent{Nanos: nowNanos(), Kind: obs.WireAckTx,
+						tr.Emit(obs.WireEvent{Nanos: ackNanos, Kind: obs.WireAckTx,
 							Path: int32(p.id), A: int64(ack.Seq), B: int64(ack.PathSeq)})
 					}
 				}

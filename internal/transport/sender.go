@@ -317,7 +317,8 @@ func (s *Sender) Send(flowID uint64, payload []byte) (uint64, error) {
 // writeFrame encodes and transmits one wire frame, applying the impairer
 // verdict. Socket writes happen outside the sender lock. sampled marks
 // frames whose (flow, seq) is in the wire trace's sample: each copy that
-// actually reaches the socket emits a tx event stamped post-write.
+// actually reaches the socket emits a tx event stamped just before its
+// first write.
 func (s *Sender) writeFrame(p *senderPath, h *Header, payload []byte, sampled bool) error {
 	t0 := nowNanos()
 	buf, err := AppendFrame(p.scratch[:0], h, payload)
@@ -344,13 +345,17 @@ func (s *Sender) writeFrame(p *senderPath, h *Header, payload []byte, sampled bo
 		}
 	}
 	var werr error
+	var txNow int64
+	if sampled {
+		txNow = nowNanos()
+	}
 	for i := 0; i < writes; i++ {
 		if err := s.write(p, buf); err != nil && werr == nil {
 			werr = err
 		}
 	}
 	if werr == nil {
-		s.traceTx(h, sampled)
+		s.traceTx(h, sampled, txNow)
 	}
 	return werr
 }
@@ -371,20 +376,23 @@ func (s *Sender) writeDelayed(p *senderPath, h Header, frame []byte, writes int,
 			return
 		default:
 		}
+		txNow := nowNanos()
 		for i := 0; i < writes; i++ {
 			s.write(p, own) //lint:allow erroreat write already fed the failure to health; a delayed frame has no caller to tell
 		}
-		s.traceTx(&h, sampled)
+		s.traceTx(&h, sampled, txNow)
 	})
 }
 
 // traceTx emits the copy's tx event and records the sender_queue stage
-// (accept → this copy's socket write, all sender clock).
-func (s *Sender) traceTx(h *Header, sampled bool) {
+// (accept → this copy's socket write, all sender clock). txNow is read
+// before the write, so a sender descheduled after the write cannot stamp
+// the copy later than the receiver saw it: the merge layer's clock-offset
+// estimate relies on tx never following rx on a shared clock.
+func (s *Sender) traceTx(h *Header, sampled bool, txNow int64) {
 	if !sampled {
 		return
 	}
-	txNow := nowNanos()
 	s.cfg.Trace.Emit(obs.WireEvent{Nanos: txNow, Kind: obs.WireTx,
 		Path: int32(h.PathID), FlowID: h.FlowID, Seq: h.Seq, PathSeq: h.PathSeq,
 		A: int64(h.Flags)})
@@ -490,7 +498,7 @@ func (s *Sender) handleAck(p *senderPath, h Header) {
 	// recorder never takes transport locks).
 	if tr := s.cfg.Trace; tr != nil {
 		tr.Emit(obs.WireEvent{Nanos: now, Kind: obs.WireAckRx,
-			Path: int32(p.id), A: rttSample, B: int64(newLost)})
+			Path: int32(p.id), Seq: recv, PathSeq: high, A: rttSample, B: int64(newLost)})
 	}
 }
 

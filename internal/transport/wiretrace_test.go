@@ -73,6 +73,70 @@ func TestLoopbackWireAttributionExact(t *testing.T) {
 	}
 }
 
+// Both endpoints share one clock, so the merge's offset estimate must be
+// near zero. Transmit stamps are read before the socket write and receive
+// stamps after the read, so no data or ack gap can be negative, and the
+// two-way estimate is within half the larger of the two minimum one-way
+// gaps. The run is the burst scenario the tail sentinel convicts: a 3 ms
+// delay on path 0 inflates the sender queue and the RTT echoes, which
+// biased the old RTT-echo estimate by 0.3-0.8 ms here.
+func TestLoopbackClockOffsetSameClock(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wire loopback in -short mode")
+	}
+	st := obs.NewWireRecorder(obs.WireSender, 1<<16, 1)
+	rt := obs.NewWireRecorder(obs.WireReceiver, 1<<16, 1)
+	rep, err := RunLoopback(LoopbackConfig{
+		Packets:   1000,
+		Rate:      5000,
+		Paths:     2,
+		Payload:   64,
+		Scheduler: SchedRoundRobin,
+		Impairer: NewBurstImpairer(BurstImpairConfig{
+			Path: 0, Period: 400, Length: 100, Delay: 3 * time.Millisecond,
+		}),
+		SenderTrace:   st,
+		ReceiverTrace: rt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	evs := append(st.Events(), rt.Events()...)
+	ackTx := make(map[[3]uint64]int64)
+	for _, ev := range evs {
+		if ev.Kind == obs.WireAckTx {
+			ackTx[[3]uint64{uint64(ev.Path), uint64(ev.A), uint64(ev.B)}] = ev.Nanos
+		}
+	}
+	for _, ev := range evs {
+		if ev.Kind != obs.WireAckRx {
+			continue
+		}
+		if tx, ok := ackTx[[3]uint64{uint64(ev.Path), ev.Seq, ev.PathSeq}]; ok && ev.Nanos < tx {
+			t.Fatalf("ack on path %d arrived %d ns before it was sent", ev.Path, tx-ev.Nanos)
+		}
+	}
+	m := obs.MergeWire(evs)
+	if m.AckPairs == 0 {
+		t.Fatal("no ack pairs: the merge fell back to the RTT-echo estimate")
+	}
+	for _, tl := range m.Timelines {
+		for _, c := range tl.Copies {
+			if c.TxNanos != 0 && c.RxNanos != 0 && c.RxNanos < c.TxNanos {
+				t.Fatalf("flow %d seq %d path %d: rx %d ns before tx", tl.FlowID, tl.Seq, c.Path, c.TxNanos-c.RxNanos)
+			}
+		}
+	}
+	const bound = 250 * time.Microsecond
+	if off := time.Duration(m.OffsetNanos); off < -bound || off > bound {
+		t.Fatalf("same-clock offset estimate %v, want within ±%v (%d ack pairs, min rtt %v)",
+			off, bound, m.AckPairs, time.Duration(m.MinRTT))
+	}
+}
+
 // With tracing off, the transport must behave byte-identically to its
 // pre-trace self: no new span stages, no new stats fields, zero events.
 func TestUntracedRunChangesNothing(t *testing.T) {
@@ -324,6 +388,9 @@ func TestHandleAckEmitsWireEvent(t *testing.T) {
 	}
 	if evs[0].Kind != obs.WireAckRx || evs[0].A <= 0 {
 		t.Fatalf("first ack event %+v: want WireAckRx with a positive RTT sample", evs[0])
+	}
+	if evs[0].Seq != 10 || evs[0].PathSeq != 10 {
+		t.Fatalf("ack event %+v does not carry the ack's counts (the WireAckTx join key)", evs[0])
 	}
 	if evs[1].A != 0 {
 		t.Fatalf("duplicated ack event carried RTT sample %d, want 0", evs[1].A)
