@@ -134,7 +134,7 @@ func BenchmarkChainLengths(b *testing.B) {
 // BenchmarkReorderBuffer measures the in-order stage under 25% reordering.
 func BenchmarkReorderBuffer(b *testing.B) {
 	s := sim.New()
-	r := core.NewReorder(s, sim.Millisecond, func(p *packet.Packet) {})
+	r := core.NewReorder(s, sim.Millisecond, 1, func(p *packet.Packet) {})
 	rng := xrand.New(3)
 	b.ReportAllocs()
 	b.ResetTimer()

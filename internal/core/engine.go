@@ -180,7 +180,7 @@ func New(s *sim.Simulator, cfg Config, sink DeliverFunc) *DataPlane {
 		healthCfg: health,
 		metrics:   newMetrics(cfg.TimelineWindow),
 	}
-	dp.reorder = NewReorder(s, cfg.ReorderTimeout, dp.deliver)
+	dp.reorder = NewReorder(s, cfg.ReorderTimeout, 1, dp.deliver)
 	dp.reorder.trace = cfg.Trace
 	dp.reorder.OnLost(func(p *packet.Packet) {
 		// A straggler the buffer gave up on: conclusively lost.

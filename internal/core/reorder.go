@@ -53,7 +53,7 @@ type Reorder struct {
 	maxOccupancy int
 
 	keyScratch []uint64     // sorted-walk key buffer, reused across walks
-	rearmFloor sim.Duration // shortest gap-timer delay (see SetRearmFloor)
+	rearmFloor sim.Duration // shortest gap-timer delay (see NewReorder)
 }
 
 type pendingPkt struct {
@@ -78,31 +78,28 @@ func (f *flowOrder) Fire() {
 // NewReorder builds the stage. timeout <= 0 disables gap timeouts (wait
 // forever — only sensible when the caller guarantees hole punching covers
 // every loss).
-func NewReorder(s *sim.Simulator, timeout sim.Duration, deliver DeliverFunc) *Reorder {
+//
+// rearmFloor is the shortest delay the gap timer is armed with (at least
+// 1 ns). When a flow's oldest entry has expired but waits behind a
+// younger smallest sequence, the timer re-arms at this floor until the
+// head expires. The simulator passes 1 ns: one event per nanosecond, which
+// its output depends on. A wall-clock owner that advances the clock in
+// large steps passes a fraction of the timeout, trading that much release
+// delay for a bounded number of timer events per hole.
+func NewReorder(s *sim.Simulator, timeout, rearmFloor sim.Duration, deliver DeliverFunc) *Reorder {
 	if deliver == nil {
 		panic("core: NewReorder with nil deliver")
+	}
+	if rearmFloor < 1 {
+		rearmFloor = 1
 	}
 	return &Reorder{
 		sim:        s,
 		timeout:    timeout,
 		deliver:    deliver,
 		flows:      make(map[uint64]*flowOrder),
-		rearmFloor: 1,
+		rearmFloor: rearmFloor,
 	}
-}
-
-// SetRearmFloor sets the shortest delay the gap timer is armed with
-// (default and minimum 1 ns). When a flow's oldest entry has expired but
-// waits behind a younger smallest sequence, the timer re-arms at this
-// floor until the head expires: one event per nanosecond by default. An
-// owner that advances the clock to wall time in large steps sets the
-// floor to a fraction of the timeout, trading that much release delay for
-// a bounded number of timer events per hole.
-func (r *Reorder) SetRearmFloor(d sim.Duration) {
-	if d < 1 {
-		d = 1
-	}
-	r.rearmFloor = d
 }
 
 // OnLost registers a callback for packets the buffer discards for good — a

@@ -397,7 +397,7 @@ func TestReorderSortedReleaseMatchesScan(t *testing.T) {
 	for prog := 0; prog < 120; prog++ {
 		ops := diffProgram(rng, 50+rng.Intn(200))
 		got := runDiffProgram(ops, func(s *sim.Simulator, d sim.Duration, fn DeliverFunc) reorderStage {
-			return NewReorder(s, d, fn)
+			return NewReorder(s, d, 1, fn)
 		})
 		want := runDiffProgram(ops, func(s *sim.Simulator, d sim.Duration, fn DeliverFunc) reorderStage {
 			return newScanReorder(s, d, fn)
@@ -430,7 +430,7 @@ func TestReorderSortedReleaseMatchesScan(t *testing.T) {
 
 // TestReorderRearmFloorBoundsRefires pins the gap-timer re-arm when the
 // oldest entry has expired behind a younger, unexpired smallest sequence:
-// at the default 1 ns floor the timer refires every nanosecond until the
+// at a 1 ns floor (the simulator's) the timer refires every nanosecond until the
 // head expires; a coarser floor bounds the refires and releases the same
 // packets in the same order, at most one floor later.
 func TestReorderRearmFloorBoundsRefires(t *testing.T) {
@@ -446,11 +446,10 @@ func TestReorderRearmFloorBoundsRefires(t *testing.T) {
 		s := sim.New()
 		var got []uint64
 		var at sim.Time
-		r := NewReorder(s, 100*sim.Microsecond, func(p *packet.Packet) {
+		r := NewReorder(s, 100*sim.Microsecond, tc.floor, func(p *packet.Packet) {
 			got = append(got, p.Seq)
 			at = p.Delivered
 		})
-		r.SetRearmFloor(tc.floor)
 		r.Submit(rp(1, 2)) // waits for 0 and 1
 		s.RunUntil(50 * sim.Microsecond)
 		r.Submit(rp(1, 1)) // the new head, younger than seq 2
@@ -472,7 +471,7 @@ func TestReorderRearmFloorBoundsRefires(t *testing.T) {
 func TestReorderTimeoutReleasesBacklogInOrder(t *testing.T) {
 	s := sim.New()
 	var got []uint64
-	r := NewReorder(s, 100*sim.Microsecond, func(p *packet.Packet) { got = append(got, p.Seq) })
+	r := NewReorder(s, 100*sim.Microsecond, 1, func(p *packet.Packet) { got = append(got, p.Seq) })
 	const n = 2000
 	for i := n; i >= 1; i-- { // descending submission: map order is no help
 		r.Submit(rp(1, uint64(2*i)))
@@ -501,7 +500,7 @@ func BenchmarkReorderTimeoutBacklog(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := sim.New()
 		delivered := 0
-		r := NewReorder(s, 100*sim.Microsecond, func(*packet.Packet) { delivered++ })
+		r := NewReorder(s, 100*sim.Microsecond, 1, func(*packet.Packet) { delivered++ })
 		for j := range pkts {
 			pkts[j] = packet.Packet{FlowID: 1, Seq: uint64(2 * (j + 1))}
 			r.Submit(&pkts[j])

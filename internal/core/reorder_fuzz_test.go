@@ -34,7 +34,7 @@ func fuzzReorderOne(t *testing.T, data []byte) {
 	type key struct{ flow, seq uint64 }
 	lastSeq := map[uint64]int64{} // flow -> last delivered seq
 	deliveredAt := map[key]bool{}
-	r := NewReorder(s, 50*sim.Microsecond, func(p *packet.Packet) {
+	r := NewReorder(s, 50*sim.Microsecond, 1, func(p *packet.Packet) {
 		k := key{p.FlowID, p.Seq}
 		if deliveredAt[k] {
 			t.Fatalf("flow %d seq %d delivered twice", p.FlowID, p.Seq)

@@ -16,7 +16,7 @@ func rp(flow, seq uint64) *packet.Packet {
 func TestReorderInOrderPassThrough(t *testing.T) {
 	s := sim.New()
 	var got []uint64
-	r := NewReorder(s, sim.Millisecond, func(p *packet.Packet) { got = append(got, p.Seq) })
+	r := NewReorder(s, sim.Millisecond, 1, func(p *packet.Packet) { got = append(got, p.Seq) })
 	for seq := uint64(0); seq < 5; seq++ {
 		r.Submit(rp(1, seq))
 	}
@@ -32,7 +32,7 @@ func TestReorderInOrderPassThrough(t *testing.T) {
 func TestReorderHoldsGapThenDrains(t *testing.T) {
 	s := sim.New()
 	var got []uint64
-	r := NewReorder(s, sim.Millisecond, func(p *packet.Packet) { got = append(got, p.Seq) })
+	r := NewReorder(s, sim.Millisecond, 1, func(p *packet.Packet) { got = append(got, p.Seq) })
 	r.Submit(rp(1, 0))
 	r.Submit(rp(1, 2)) // held: 1 missing
 	r.Submit(rp(1, 3)) // held
@@ -57,7 +57,7 @@ func TestReorderHoldsGapThenDrains(t *testing.T) {
 func TestReorderTimeoutSkipsGap(t *testing.T) {
 	s := sim.New()
 	var got []uint64
-	r := NewReorder(s, 100*sim.Microsecond, func(p *packet.Packet) { got = append(got, p.Seq) })
+	r := NewReorder(s, 100*sim.Microsecond, 1, func(p *packet.Packet) { got = append(got, p.Seq) })
 	r.Submit(rp(1, 0))
 	r.Submit(rp(1, 2)) // seq 1 will never arrive
 	s.RunUntil(99 * sim.Microsecond)
@@ -76,7 +76,7 @@ func TestReorderTimeoutSkipsGap(t *testing.T) {
 func TestReorderLateArrivalAfterSkip(t *testing.T) {
 	s := sim.New()
 	var got []uint64
-	r := NewReorder(s, 100*sim.Microsecond, func(p *packet.Packet) { got = append(got, p.Seq) })
+	r := NewReorder(s, 100*sim.Microsecond, 1, func(p *packet.Packet) { got = append(got, p.Seq) })
 	r.Submit(rp(1, 0))
 	r.Submit(rp(1, 2))
 	s.RunUntil(200 * sim.Microsecond) // skip fires, seq2 released
@@ -96,7 +96,7 @@ func TestReorderLateArrivalAfterSkip(t *testing.T) {
 func TestReorderDuplicateFirstWins(t *testing.T) {
 	s := sim.New()
 	var got []uint64
-	r := NewReorder(s, sim.Millisecond, func(p *packet.Packet) { got = append(got, p.Seq) })
+	r := NewReorder(s, sim.Millisecond, 1, func(p *packet.Packet) { got = append(got, p.Seq) })
 	a := rp(1, 0)
 	b := rp(1, 0)
 	b.IsDup = true
@@ -116,7 +116,7 @@ func TestReorderDuplicateFirstWins(t *testing.T) {
 func TestReorderDuplicateBothEarly(t *testing.T) {
 	s := sim.New()
 	var got []uint64
-	r := NewReorder(s, sim.Millisecond, func(p *packet.Packet) { got = append(got, p.Seq) })
+	r := NewReorder(s, sim.Millisecond, 1, func(p *packet.Packet) { got = append(got, p.Seq) })
 	a := rp(1, 1)
 	b := rp(1, 1)
 	b.IsDup = true
@@ -134,7 +134,7 @@ func TestReorderDuplicateBothEarly(t *testing.T) {
 func TestReorderIndependentFlows(t *testing.T) {
 	s := sim.New()
 	var got []uint64
-	r := NewReorder(s, sim.Millisecond, func(p *packet.Packet) { got = append(got, p.FlowID*100+p.Seq) })
+	r := NewReorder(s, sim.Millisecond, 1, func(p *packet.Packet) { got = append(got, p.FlowID*100+p.Seq) })
 	r.Submit(rp(1, 1)) // flow 1 blocked on seq 0
 	r.Submit(rp(2, 0)) // flow 2 independent
 	r.Submit(rp(2, 1))
@@ -146,7 +146,7 @@ func TestReorderIndependentFlows(t *testing.T) {
 func TestReorderFlush(t *testing.T) {
 	s := sim.New()
 	var got []uint64
-	r := NewReorder(s, sim.Second, func(p *packet.Packet) { got = append(got, p.Seq) })
+	r := NewReorder(s, sim.Second, 1, func(p *packet.Packet) { got = append(got, p.Seq) })
 	r.Submit(rp(1, 3))
 	r.Submit(rp(1, 1))
 	r.Submit(rp(1, 5))
@@ -166,7 +166,7 @@ func TestReorderFlush(t *testing.T) {
 func TestReorderZeroTimeoutWaitsForever(t *testing.T) {
 	s := sim.New()
 	count := 0
-	r := NewReorder(s, 0, func(p *packet.Packet) { count++ })
+	r := NewReorder(s, 0, 1, func(p *packet.Packet) { count++ })
 	r.Submit(rp(1, 1))
 	s.RunUntil(10 * sim.Second)
 	if count != 0 {
@@ -183,13 +183,13 @@ func TestReorderNilDeliverPanics(t *testing.T) {
 			t.Fatal("nil deliver did not panic")
 		}
 	}()
-	NewReorder(sim.New(), 0, nil)
+	NewReorder(sim.New(), 0, 1, nil)
 }
 
 func TestReorderDelayStamped(t *testing.T) {
 	s := sim.New()
 	var heldDelay sim.Duration
-	r := NewReorder(s, sim.Millisecond, func(p *packet.Packet) {
+	r := NewReorder(s, sim.Millisecond, 1, func(p *packet.Packet) {
 		if p.Seq == 1 {
 			heldDelay = p.ReorderWait()
 		}
@@ -212,7 +212,7 @@ func TestQuickReorderAlwaysInOrder(t *testing.T) {
 		n := int(nRaw%30) + 1
 		s := sim.New()
 		var got []uint64
-		r := NewReorder(s, 0, func(p *packet.Packet) { got = append(got, p.Seq) })
+		r := NewReorder(s, 0, 1, func(p *packet.Packet) { got = append(got, p.Seq) })
 		perm := xrand.New(seed).Perm(n)
 		for _, v := range perm {
 			r.Submit(rp(1, uint64(v)))
@@ -240,7 +240,7 @@ func TestQuickReorderDedupComplete(t *testing.T) {
 		s := sim.New()
 		delivered := make(map[uint64]int)
 		order := []uint64{}
-		r := NewReorder(s, 0, func(p *packet.Packet) {
+		r := NewReorder(s, 0, 1, func(p *packet.Packet) {
 			delivered[p.Seq]++
 			order = append(order, p.Seq)
 		})
@@ -279,7 +279,7 @@ func TestQuickReorderDedupComplete(t *testing.T) {
 func TestReorderSkipPunchesHole(t *testing.T) {
 	s := sim.New()
 	var got []uint64
-	r := NewReorder(s, sim.Second, func(p *packet.Packet) { got = append(got, p.Seq) })
+	r := NewReorder(s, sim.Second, 1, func(p *packet.Packet) { got = append(got, p.Seq) })
 	r.Submit(rp(1, 0))
 	r.Submit(rp(1, 2)) // blocked on seq 1
 	if len(got) != 1 {
@@ -297,7 +297,7 @@ func TestReorderSkipPunchesHole(t *testing.T) {
 func TestReorderSkipAtCursor(t *testing.T) {
 	s := sim.New()
 	var got []uint64
-	r := NewReorder(s, sim.Second, func(p *packet.Packet) { got = append(got, p.Seq) })
+	r := NewReorder(s, sim.Second, 1, func(p *packet.Packet) { got = append(got, p.Seq) })
 	r.Skip(1, 0) // first packet of the flow is lost
 	r.Submit(rp(1, 1))
 	if len(got) != 1 || got[0] != 1 {
@@ -308,7 +308,7 @@ func TestReorderSkipAtCursor(t *testing.T) {
 func TestReorderSkipFutureThenFill(t *testing.T) {
 	s := sim.New()
 	var got []uint64
-	r := NewReorder(s, sim.Second, func(p *packet.Packet) { got = append(got, p.Seq) })
+	r := NewReorder(s, sim.Second, 1, func(p *packet.Packet) { got = append(got, p.Seq) })
 	r.Skip(1, 2)       // tombstone ahead of the cursor
 	r.Submit(rp(1, 3)) // blocked on 0,1
 	r.Submit(rp(1, 0))
@@ -323,7 +323,7 @@ func TestReorderSkipFutureThenFill(t *testing.T) {
 
 func TestReorderSkipBelowCursorIgnored(t *testing.T) {
 	s := sim.New()
-	r := NewReorder(s, sim.Second, func(p *packet.Packet) {})
+	r := NewReorder(s, sim.Second, 1, func(p *packet.Packet) {})
 	r.Submit(rp(1, 0))
 	r.Skip(1, 0) // already released
 	if r.Stats().HolesPunched != 0 {
@@ -336,7 +336,7 @@ func TestReorderTimeoutReleasesAllExpired(t *testing.T) {
 	// ONE timeout pass, not one gap per timeout period.
 	s := sim.New()
 	var got []uint64
-	r := NewReorder(s, 100*sim.Microsecond, func(p *packet.Packet) { got = append(got, p.Seq) })
+	r := NewReorder(s, 100*sim.Microsecond, 1, func(p *packet.Packet) { got = append(got, p.Seq) })
 	// Gaps at 0,2,4,6: pending 1,3,5,7 all submitted now.
 	for _, seq := range []uint64{1, 3, 5, 7} {
 		r.Submit(rp(1, seq))
@@ -353,7 +353,7 @@ func TestReorderTimeoutReleasesAllExpired(t *testing.T) {
 func TestReorderFlushTombstones(t *testing.T) {
 	s := sim.New()
 	var got []uint64
-	r := NewReorder(s, sim.Second, func(p *packet.Packet) { got = append(got, p.Seq) })
+	r := NewReorder(s, sim.Second, 1, func(p *packet.Packet) { got = append(got, p.Seq) })
 	r.Skip(1, 1)
 	r.Submit(rp(1, 2))
 	r.Flush()

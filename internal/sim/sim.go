@@ -269,15 +269,6 @@ func (s *Simulator) RunUntil(t Time) {
 	}
 }
 
-// NextAt returns the time of the earliest pending live event, and false
-// when none remains.
-func (s *Simulator) NextAt() (Time, bool) {
-	if !s.discardCancelled() {
-		return 0, false
-	}
-	return s.events[0].at, true
-}
-
 // RunFor advances the clock by d, firing all events in the window.
 func (s *Simulator) RunFor(d Duration) { s.RunUntil(s.now + d) }
 

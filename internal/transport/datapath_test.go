@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"mpdp/internal/core"
+	"mpdp/internal/obs"
 	"mpdp/internal/packet"
+	"mpdp/internal/sim"
 )
 
 // stampPayload fills buf with a payload that names its (flow, seq): the
@@ -118,6 +120,56 @@ func TestRecycledPacketsNeverAlias(t *testing.T) {
 	}
 	if st.Reorder.OutOfOrder == 0 || st.Reorder.MaxOccupancy < 2 {
 		t.Fatalf("the delayed path never held the reorder buffer: %+v", st.Reorder)
+	}
+}
+
+// Every delivery is stamped with the wall time of its release: exactly
+// the release time the receiver's flight recorder logs for it, and never
+// before the frame was read or sent. A lossy path makes gap timers
+// release part of the traffic; the reorder buffer's own clock stamps
+// those with the timer's due time instead.
+func TestDeliveredStampIsReleaseTime(t *testing.T) {
+	type key struct{ flow, seq uint64 }
+	stamps := make(map[key]sim.Time)
+	var early int
+	rt := obs.NewWireRecorder(obs.WireReceiver, 1<<16, 1)
+	rep, err := RunLoopback(LoopbackConfig{
+		Paths:          2,
+		Scheduler:      SchedRoundRobin,
+		Flows:          2,
+		Packets:        2000,
+		Health:         wireHealth(),
+		ReorderTimeout: 2 * time.Millisecond,
+		Impairer:       NewRandomImpairer(ImpairConfig{Path: 1, DropFrac: 0.05, Seed: 3}),
+		ReceiverTrace:  rt,
+		OnDeliver: func(p *packet.Packet) { // driver goroutine only
+			stamps[key{p.FlowID, p.Seq}] = p.Delivered
+			if p.Delivered < p.Done || p.Delivered < p.Ingress {
+				early++
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("RunLoopback: %v", err)
+	}
+	if early != 0 {
+		t.Fatalf("%d deliveries stamped before their frame was read or sent", early)
+	}
+	if rep.Receiver.Reorder.TimeoutFires == 0 {
+		t.Fatalf("no gap timer released a packet (%s)", reorderDiag(rep))
+	}
+	checked := 0
+	for _, ev := range rt.Events() {
+		if ev.Kind != obs.WireDeliver {
+			continue
+		}
+		checked++
+		if got := stamps[key{ev.FlowID, ev.Seq}]; got != sim.Time(ev.B) {
+			t.Fatalf("flow %d seq %d: Delivered %d, released at %d", ev.FlowID, ev.Seq, got, ev.B)
+		}
+	}
+	if checked != len(stamps) {
+		t.Fatalf("recorder logged %d of %d deliveries", checked, len(stamps))
 	}
 }
 

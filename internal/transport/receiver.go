@@ -41,9 +41,10 @@ type ReceiverConfig struct {
 	// Spans, when non-nil, records socket-read/reorder/deliver/e2e stages.
 	Spans *Spans
 	// Deliver receives packets in per-flow order on the reorder driver
-	// goroutine. The packet, its Data included, is borrowed until Deliver
-	// returns: the receiver then recycles both for a later frame, so a
-	// callback that keeps any of it past its return must copy it.
+	// goroutine, with p.Delivered the wall time of the release. The
+	// packet, its Data included, is borrowed until Deliver returns: the
+	// receiver then recycles both for a later frame, so a callback that
+	// keeps any of it past its return must copy it.
 	Deliver func(p *packet.Packet)
 	// OnLost is invoked (driver goroutine) for stragglers that arrive
 	// after their sequence was timed out past. Same borrow contract as
@@ -64,8 +65,6 @@ type ReceiverConfig struct {
 type recvPath struct {
 	id   uint16
 	conn *net.UDPConn
-	// probe asks whether conn holds unread datagrams (nil: no probe).
-	probe *unreadProbe
 
 	mu        sync.Mutex
 	src       netip.AddrPort // last data source: where acks go
@@ -145,20 +144,15 @@ func Listen(cfg ReceiverConfig) (*Receiver, error) {
 		// outrun the reader goroutine (loss here is indistinguishable from
 		// wire loss, so buy as much headroom as the host allows).
 		conn.SetReadBuffer(4 << 20) //lint:allow erroreat best-effort socket buffer sizing
-		var probe *unreadProbe
-		if raw, err := conn.SyscallConn(); err == nil {
-			probe = newUnreadProbe(raw)
-		}
 		r.paths = append(r.paths, &recvPath{
-			id:    uint16(i),
-			conn:  conn,
-			probe: probe,
-			wire:  newDedupWindow(DefaultDedupWindow),
+			id:   uint16(i),
+			conn: conn,
+			wire: newDedupWindow(DefaultDedupWindow),
 		})
 	}
 	r.driver = newReorderDriver(
 		func() sim.Time { return sim.Time(nowNanos()) },
-		cfg.ReorderTimeout, r.deliver, r.onLost, cfg.Queue, r.unread)
+		cfg.ReorderTimeout, r.deliver, r.onLost, cfg.Queue)
 	r.driver.start()
 	for _, p := range r.paths {
 		r.wg.Add(1)
@@ -197,20 +191,13 @@ func (r *Receiver) closeConns() {
 	}
 }
 
-// unread reports whether any path socket holds a datagram its reader has
-// not taken yet: the reorder driver holds due gap timers back meanwhile.
-func (r *Receiver) unread() bool {
-	for _, p := range r.paths {
-		if p.probe != nil && p.probe.unread() {
-			return true
-		}
-	}
-	return false
-}
-
 // deliver runs on the reorder driver goroutine for each in-order release.
+// It stamps p.Delivered with the wall time of the release: the reorder
+// buffer's own stamp is its timer clock, which for a gap-timer release is
+// the timer's due time, not when the driver got round to it.
 func (r *Receiver) deliver(p *packet.Packet) {
 	now := nowNanos()
+	p.Delivered = sim.Time(now)
 	if sp := r.cfg.Spans; sp != nil {
 		sp.Reorder.Record(now - int64(p.Done))
 		sp.E2E.Record(now - int64(p.Ingress))

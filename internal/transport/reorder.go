@@ -11,12 +11,12 @@ import (
 
 // reorderDriver funnels received frames through the existing core.Reorder
 // buffer — hole punching, gap timeouts, late-straggler accounting and all —
-// by running a private discrete-event simulator whose clock follows the
-// wall clock (see advance). One goroutine owns the simulator and the
-// reorder buffer, so none of core's single-threaded machinery needs locks:
-// deduplicated frames flow in over a channel, gap timers fire whenever the
-// clock is advanced past them (each submit, plus an idle tick so a silent
-// wire still releases stragglers).
+// by running a private discrete-event simulator whose clock is advanced to
+// wall time. One goroutine owns the simulator and the reorder buffer, so
+// none of core's single-threaded machinery needs locks: deduplicated
+// frames flow in over a channel, gap timers fire whenever the clock is
+// advanced past them (each submit, plus an idle tick so a silent wire still
+// releases stragglers).
 type reorderDriver struct {
 	clock   func() sim.Time // receiver's monotone unix-nano clock
 	sim     *sim.Simulator
@@ -25,13 +25,6 @@ type reorderDriver struct {
 	stats   chan chan core.ReorderStats
 	stopped chan struct{}
 	tick    time.Duration
-
-	// unread reports whether a path socket holds datagrams no reader has
-	// taken yet (nil: never). While it does, or while frames are queued
-	// on in, a due gap timer waits (see advance) until the clock passes
-	// its due time by maxHold.
-	unread  func() bool
-	maxHold sim.Duration
 
 	// gapSkipped mirrors the reorder buffer's abandoned-seq counter after
 	// every driver step, so callers applying backpressure (the loopback
@@ -44,19 +37,20 @@ type reorderDriver struct {
 
 // newReorderDriver wires a core.Reorder with the given gap timeout (wall
 // nanoseconds) to a wall-clock pump. deliver and onLost run on the driver
-// goroutine; unread may be nil.
+// goroutine.
 func newReorderDriver(clock func() sim.Time, timeout time.Duration,
-	deliver core.DeliverFunc, onLost core.DeliverFunc, queue int, unread func() bool) *reorderDriver {
+	deliver core.DeliverFunc, onLost core.DeliverFunc, queue int) *reorderDriver {
 	s := sim.New()
 	// Anchor the simulator at the current wall clock so the first gap
 	// timer is scheduled relative to "now", not to 1970.
 	s.RunUntil(clock())
-	rb := core.NewReorder(s, sim.Duration(timeout.Nanoseconds()), deliver)
 	// Each RunUntil jumps the clock by the wall time since the last step,
 	// so a gap timer re-armed 1 ns out would fire once per elapsed
-	// nanosecond (millions of events per hole). 1/64 of the timeout bounds
-	// that at 64 events and delays a gap release by at most as much.
-	rb.SetRearmFloor(sim.Duration(timeout.Nanoseconds() / 64))
+	// nanosecond (millions of events per hole). A re-arm floor of 1/64 of
+	// the timeout bounds that at 64 events and delays a gap release by at
+	// most as much.
+	rb := core.NewReorder(s, sim.Duration(timeout.Nanoseconds()),
+		sim.Duration(timeout.Nanoseconds()/64), deliver)
 	if onLost != nil {
 		rb.OnLost(onLost)
 	}
@@ -75,36 +69,7 @@ func newReorderDriver(clock func() sim.Time, timeout time.Duration,
 		stats:   make(chan chan core.ReorderStats),
 		stopped: make(chan struct{}),
 		tick:    tick,
-		unread:  unread,
-		maxHold: sim.Duration(holdTimeouts * timeout.Nanoseconds()),
 	}
-}
-
-// holdTimeouts bounds how long a due gap timer waits for frames still on
-// their way, in gap timeouts (see advance).
-const holdTimeouts = 4
-
-// advance moves the simulator to t — the read time of the frame being
-// submitted, or now on an idle tick — firing the gap timers it passes. A
-// timer due by t waits, though, while a frame that could fill its hole may
-// still be on the way: when fire is false (the caller holds a frame it has
-// not submitted, or more are queued behind it) or when a path socket holds
-// unread datagrams. A reader that the OS or the Go scheduler has not run
-// for longer than the gap timeout leaves its frames in the socket, or
-// queues them behind frames the other paths read later, while those open
-// holes; firing first would skip the very sequences on their way and turn
-// them into late drops. So the clock stops just short of the due timer
-// until t passes it by maxHold. t follows read times, so a stall of the
-// driver itself does not use up the hold; a backlog that never drains (a
-// receiver slower than its senders) still releases its losses, at most
-// holdTimeouts gap timeouts late.
-func (d *reorderDriver) advance(t sim.Time, fire bool) {
-	if at, ok := d.sim.NextAt(); ok && at <= t && t-at < d.maxHold &&
-		(!fire || (d.unread != nil && d.unread())) {
-		d.sim.RunUntil(at - 1)
-		return
-	}
-	d.sim.RunUntil(t)
 }
 
 func (d *reorderDriver) start() { go d.run() }
@@ -125,22 +90,13 @@ func (d *reorderDriver) run() {
 				d.gapSkipped.Store(d.final.GapSkipped)
 				return
 			}
-			// The clock follows the frames' read times, not now, and
-			// fires no timer until every queued frame is submitted.
-			at := p.Done
-			d.advance(at, false)
+			d.sim.RunUntil(d.clock())
 			d.rb.Submit(p)
-			if len(d.in) == 0 {
-				d.advance(at, true)
-			}
 			d.gapSkipped.Store(d.rb.Stats().GapSkipped)
 		case reply := <-d.stats:
 			reply <- d.rb.Stats()
 		case <-ticker.C:
-			if len(d.in) > 0 {
-				continue // queued frames advance the clock themselves
-			}
-			d.advance(d.clock(), true)
+			d.sim.RunUntil(d.clock())
 			d.gapSkipped.Store(d.rb.Stats().GapSkipped)
 		}
 	}
